@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from collections.abc import Callable, Iterator, MutableMapping
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from functools import partial
+from itertools import combinations, compress, islice, tee
 
 from .canon import canonical_form, canonical_graph, canonical_labeling
 from .errors import SizeLimitError
@@ -35,6 +36,7 @@ from .vc import vc_decision, vc_exact
 ENUMERATION_MAX_VERTICES = 10
 _MATERIALIZED_MAX = 9
 _CHUNK = 16
+_BATCH = 4096
 
 Predicate = Callable[[Graph], bool]
 
@@ -67,13 +69,23 @@ def _augment_worker(parent_line: str) -> list[str]:
     return [graph6_str(c) for c in children]
 
 
-def _map_parents(parents: list[str], workers: int) -> Iterator[list[str]]:
-    if workers <= 1 or len(parents) < 2 * _CHUNK:
-        for line in parents:
-            yield _augment_worker(line)
+def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn over items, in order: serially when workers <= 1 or the input is
+    small, otherwise on a process pool.  The pool is fed in batches of _BATCH
+    because Pool.imap drains its whole input into the task queue, and a
+    streamed level must not."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    rest = iter(items)
+    batch = list(islice(rest, _BATCH))
+    if len(batch) < 2 * _CHUNK:
+        yield from map(fn, batch)
         return
     with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(_augment_worker, parents, chunksize=_CHUNK)
+        while batch:
+            yield from pool.imap(fn, batch, chunksize=_CHUNK)
+            batch = list(islice(rest, _BATCH))
 
 
 def _level_path(checkpoint_dir: str, n: int) -> str:
@@ -81,22 +93,21 @@ def _level_path(checkpoint_dir: str, n: int) -> str:
 
 
 def _ensure_level(n: int, workers: int, checkpoint_dir: str | None):
-    if n in _levels:
-        return
-    if checkpoint_dir is not None and os.path.exists(_level_path(checkpoint_dir, n)):
-        with open(_level_path(checkpoint_dir, n)) as fh:
-            _levels[n] = [line.strip() for line in fh if line.strip()]
-        return
-    if n == 0:
-        _levels[0] = [graph6_str(Graph(0))]
-    else:
-        _ensure_level(n - 1, workers, checkpoint_dir)
-        level = [child for batch in _map_parents(_levels[n - 1], workers)
-                 for child in batch]
-        _levels[n] = level
-    if checkpoint_dir is not None:
+    path = None if checkpoint_dir is None else _level_path(checkpoint_dir, n)
+    if n not in _levels:
+        if path is not None and os.path.exists(path):
+            with open(path) as fh:
+                _levels[n] = [line.strip() for line in fh if line.strip()]
+            return
+        if n == 0:
+            _levels[0] = [graph6_str(Graph(0))]
+        else:
+            _ensure_level(n - 1, workers, checkpoint_dir)
+            batches = _pmap(_augment_worker, _levels[n - 1], workers)
+            _levels[n] = [child for batch in batches for child in batch]
+    if path is not None and not os.path.exists(path):
         os.makedirs(checkpoint_dir, exist_ok=True)
-        with open(_level_path(checkpoint_dir, n), "w") as fh:
+        with open(path, "w") as fh:
             fh.writelines(line + "\n" for line in _levels[n])
 
 
@@ -106,8 +117,8 @@ def enumerate_graphs(n: int, *, workers: int = 1,
     graphs on n vertices, in a deterministic order.
 
     Levels up to 9 vertices are materialized (and reused across calls, or
-    persisted to checkpoint_dir when given); the 10-vertex level is streamed
-    parent by parent because it no longer fits comfortably in memory.
+    persisted to checkpoint_dir when given); the 10-vertex level, 12,005,168
+    classes, is streamed parent by parent instead of held as a list.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -135,7 +146,8 @@ def enumerate_graphs(n: int, *, workers: int = 1,
                 for line in fh:
                     if line.strip():
                         yield graph6_to_graph(line.strip())
-    for processed, batch in enumerate(_map_parents(parents[done:], workers), start=done + 1):
+    for processed, batch in enumerate(_pmap(_augment_worker, parents[done:], workers),
+                                      start=done + 1):
         for line in batch:
             yield graph6_to_graph(line)
         if checkpoint_dir is not None:
@@ -155,24 +167,14 @@ def one_step_minors(g: Graph) -> Iterator[Graph]:
         yield contract_edge(g, e)
 
 
-def is_minor_minimal(g: Graph, predicate: Predicate,
-                     memo: MutableMapping[bytes, bool] | None = None) -> bool:
-    """True when g fails the predicate but every one-step minor satisfies it.
+def is_minor_minimal(g: Graph, predicate: Predicate) -> bool:
+    """True when g fails the predicate but every one-step minor satisfies it
+    (for a minor-closed predicate, every proper minor then satisfies it).
 
-    The memo (keyed by canonical form) is worth sharing across a whole scan:
-    the same small minors recur under thousands of parents.
-    """
-    cache: MutableMapping[bytes, bool] = {} if memo is None else memo
-
-    def holds(h: Graph) -> bool:
-        key = canonical_form(h)
-        if key not in cache:
-            cache[key] = bool(predicate(h))
-        return cache[key]
-
-    if holds(g):
-        return False
-    return all(holds(h) for h in one_step_minors(g))
+    The predicate is called directly, stopping at the first minor that fails
+    it; keying its results by canonical form costs more than the decisions
+    it would save."""
+    return not predicate(g) and all(predicate(h) for h in one_step_minors(g))
 
 
 # ---------------------------------------------------------------------------
@@ -214,45 +216,22 @@ class ObstructionReport:
         }
 
 
-_worker_memo: dict[tuple[str, int], dict[bytes, bool]] = {}
-
-
 def _predicate_for(kind: str, k: int) -> Predicate:
-    if kind == "vc":
-        return lambda h: vc_decision(h, k)
-    return lambda h: idf_decision(h, k)
-
-
-def _minimal_worker(item: tuple[str, str, int]) -> bool:
-    line, kind, k = item
-    memo = _worker_memo.setdefault((kind, k), {})
-    return is_minor_minimal(graph6_to_graph(line), _predicate_for(kind, k), memo)
+    # a partial of a module function, so that it pickles to pool workers
+    return partial(vc_decision if kind == "vc" else idf_decision, k=k)
 
 
 def _scan(kind: str, k: int, max_n: int, *, workers: int,
           checkpoint_dir: str | None) -> tuple[Graph, ...]:
+    test = partial(is_minor_minimal, predicate=_predicate_for(kind, k))
     found: list[Graph] = []
-    if workers <= 1:
-        memo: dict[bytes, bool] = {}
-        predicate = _predicate_for(kind, k)
-        for n in range(max_n + 1):
-            for g in enumerate_graphs(n, checkpoint_dir=checkpoint_dir):
-                if is_minor_minimal(g, predicate, memo):
-                    found.append(g)
-    else:
-        for n in range(min(max_n, _MATERIALIZED_MAX) + 1):
-            _ensure_level(n, workers, checkpoint_dir)
-        with multiprocessing.Pool(workers) as pool:
-            for n in range(max_n + 1):
-                stream = enumerate_graphs(n, workers=1, checkpoint_dir=checkpoint_dir)
-                while True:
-                    lines = [graph6_str(g) for g in islice(stream, 4096)]
-                    if not lines:
-                        break
-                    items = [(line, kind, k) for line in lines]
-                    flags = pool.imap(_minimal_worker, items, chunksize=_CHUNK)
-                    found.extend(graph6_to_graph(line)
-                                 for line, keep in zip(lines, flags) if keep)
+    for n in range(max_n + 1):
+        # the streamed 10-vertex level is augmented serially, so that only
+        # the scan's pool is open while it runs
+        enum_workers = workers if n <= _MATERIALIZED_MAX else 1
+        graphs, probe = tee(enumerate_graphs(n, workers=enum_workers,
+                                             checkpoint_dir=checkpoint_dir))
+        found.extend(compress(graphs, _pmap(test, probe, workers)))
     return tuple(sorted(found, key=canonical_form))
 
 
@@ -268,11 +247,11 @@ def obs_vc(k: int, *, long_run: bool = False, workers: int = 1,
     return ObstructionReport(kind="vc", k=k, obstructions=members)
 
 
-def _spanning_vc_minimal(g: Graph, target: int,
-                         memo: MutableMapping[bytes, bool]) -> str:
+def _spanning_vc_minimal(g: Graph, target: int) -> str:
     """Provenance of an obstruction g with value target+1: does deleting some
     edge set (possibly empty) leave a minor-minimal graph for cover budget
-    target on the same vertices?"""
+    target on the same vertices?  Isomorphic edge-deleted subgraphs are
+    tested once."""
     predicate = _predicate_for("vc", target)
     seen: set[bytes] = set()
     edges = sorted(g.edges)
@@ -283,7 +262,7 @@ def _spanning_vc_minimal(g: Graph, target: int,
             if code in seen:
                 continue
             seen.add(code)
-            if is_minor_minimal(sub, predicate, memo):
+            if is_minor_minimal(sub, predicate):
                 return PROV_VC_OBSTRUCTION if size == 0 else PROV_EDGE_AUGMENTED
     return PROV_OTHER
 
@@ -303,13 +282,8 @@ def obs_idf(k: int, *, long_run: bool = False, workers: int = 1,
         raise ValueError("k = 3 scans take a while; pass long_run=True to opt in")
     max_n = min(2 * k + 4, ENUMERATION_MAX_VERTICES)
     members = _scan("idf", k, max_n, workers=workers, checkpoint_dir=checkpoint_dir)
-    provenance: dict[str, str] = {}
-    memos: dict[int, dict[bytes, bool]] = {}
-    for g in members:
-        value = idf_exact(g).value
-        target = value - 1
-        provenance[graph6_str(g)] = _spanning_vc_minimal(
-            g, target, memos.setdefault(target, {}))
+    provenance = {graph6_str(g): _spanning_vc_minimal(g, idf_exact(g).value - 1)
+                  for g in members}
     return ObstructionReport(kind="idf", k=k, obstructions=members,
                              provenance=provenance)
 
@@ -445,14 +419,13 @@ def family_obstruction_report(k: int) -> tuple[FamilyClaim, ...]:
     if k < 0 or k > 2:
         raise ValueError(f"supported parameters are 0..2, got {k}")
     predicate = _predicate_for("idf", k)
-    memo: dict[bytes, bool] = {}
     rows: list[FamilyClaim] = []
 
     def claim(family: str, description: str, g: Graph | None,
               claimed: bool | None, note: str = "") -> FamilyClaim:
         if g is None:
             return FamilyClaim(family, description, None, claimed, None, None, note)
-        computed = is_minor_minimal(g, predicate, memo)
+        computed = is_minor_minimal(g, predicate)
         agrees = None if claimed is None else computed == claimed
         return FamilyClaim(family, description, g, claimed, computed, agrees, note)
 

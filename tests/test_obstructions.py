@@ -81,6 +81,14 @@ class TestEnumeration:
                                 capture_output=True, text=True, check=True)
         assert second.stdout == first.stdout
 
+    def test_checkpoint_written_for_a_level_already_enumerated(self, tmp_path):
+        list(enumerate_graphs(5))
+        streamed = [graph6_str(g)
+                    for g in enumerate_graphs(5, checkpoint_dir=str(tmp_path))]
+        level5 = tmp_path / "graphs-n5.g6"
+        assert level5.exists()
+        assert level5.read_text().split() == streamed
+
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             next(enumerate_graphs(11))
@@ -147,6 +155,17 @@ class TestObstructionScans:
             obs_idf(3)
         with pytest.raises(ValueError):
             obs_vc(4, long_run=True)
+
+    def test_parallel_scans_match_serial(self):
+        # levels 5 and 6 hold enough graphs to go through the pool
+        serial = [obs_vc(2, workers=1).as_json_dict(),
+                  obs_idf(1, workers=1).as_json_dict()]
+        script = ("import json, idforest\n"
+                  "print(json.dumps([idforest.obs_vc(2, workers=2).as_json_dict(),\n"
+                  "                  idforest.obs_idf(1, workers=2).as_json_dict()]))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == serial
 
     def test_reports_serialize(self):
         payload = obs_vc(1).as_json_dict()
