@@ -1,9 +1,12 @@
 """Canonical enumeration of small graphs and minor-minimal obstruction sets.
 
 Graphs are enumerated one isomorphism class at a time by canonical
-augmentation: a child on n+1 vertices is kept exactly when deleting its
-canonical last vertex reproduces the parent it was grown from, so no global
-seen-set is needed and independent branches parallelize trivially.
+augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a child on
+n+1 vertices is kept exactly when deleting its canonical last vertex
+reproduces the parent it was grown from, so no global seen-set is needed and
+independent branches parallelize trivially.  Only attachments that give the
+new vertex maximum degree are tried, because canonical refinement keeps cell
+order and so puts a maximum-degree vertex last.
 
 On top of the enumeration sit the obstruction scans (minor-minimal graphs
 outside "vertex cover at most k" and outside "identification distance to a
@@ -22,12 +25,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations, compress, islice, tee
 
-from .canon import canonical_form, canonical_graph, canonical_labeling
+from .canon import canonical_form, canonical_labeling
 from .errors import SizeLimitError
 from .graph import (Graph, bridges, connected_components, contract_edge,
                     delete_edge, delete_vertex, disjoint_union,
                     induced_subgraph, is_2_connected, with_new_vertex)
-from .graphio import graph6_str, graph6_to_graph
+from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
 from .solver import idf_decision, idf_exact
@@ -46,22 +49,40 @@ _levels: dict[int, list[str]] = {}
 def _augmented_children(parent: Graph) -> list[Graph]:
     """Canonical children of a canonical parent, sorted by canonical code.
 
-    Every way of attaching one new vertex is tried; a candidate survives when
-    deleting the vertex that its own canonical labeling puts last gives back
-    the parent's class.  Duplicates within one parent are merged here; across
-    parents the acceptance rule already guarantees disjointness.
+    A child is kept when deleting the vertex that its own canonical labeling
+    puts last gives back the parent's class.  `_refine` keeps cell order and
+    its first pass ranks vertices by degree, so that last vertex lies in the
+    highest-degree cell.  A neighbour set is therefore tried only when the new
+    vertex has maximum degree in the child: each kept class is still reached
+    through the set that makes the new vertex its canonical last vertex.  A
+    tried set costs one canonical search, and a second one on the deleted
+    graph only when the new vertex is not canonically last and the class is
+    new to this parent.  Across parents the acceptance rule already guarantees
+    disjointness.
     """
+    n = parent.n
     parent_code = canonical_form(parent)
-    out: dict[bytes, Graph] = {}
-    for bits in range(1 << parent.n):
-        nbrs = [v for v in range(parent.n) if (bits >> v) & 1]
-        child = with_new_vertex(parent, nbrs)
-        positions = canonical_labeling(child)
-        drop = positions.index(child.n - 1)
-        if canonical_form(delete_vertex(child, drop)) == parent_code:
-            rep = canonical_graph(child)
-            out.setdefault(canonical_form(rep), rep)
-    return [out[code] for code in sorted(out)]
+    degrees = [mask.bit_count() for mask in parent.adj_masks]
+    top = max(degrees, default=0)
+    top_mask = sum(1 << v for v in range(n) if degrees[v] == top)
+    kept: dict[bytes, Graph] = {}
+    rejected: set[bytes] = set()
+    for bits in range(1 << n):
+        size = bits.bit_count()
+        if size < top or (size == top and bits & top_mask):
+            continue
+        child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
+        perm = canonical_labeling(child)
+        rep = Graph(n + 1, [(perm[u], perm[v]) for u, v in child.edges])
+        code = graph6_bytes(rep)
+        if code in kept or code in rejected:
+            continue
+        drop = perm.index(n)
+        if drop == n or canonical_form(delete_vertex(child, drop)) == parent_code:
+            kept[code] = rep
+        else:
+            rejected.add(code)
+    return [kept[code] for code in sorted(kept)]
 
 
 def _augment_worker(parent_line: str) -> list[str]:
@@ -92,6 +113,15 @@ def _level_path(checkpoint_dir: str, n: int) -> str:
     return os.path.join(checkpoint_dir, f"graphs-n{n}.g6")
 
 
+def _replace_file(path: str, lines: Iterable[str]):
+    """Write lines to path through a temporary file and os.replace, so that a
+    crash leaves the old file or the new one at path, never a cut-off one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    os.replace(tmp, path)
+
+
 def _ensure_level(n: int, workers: int, checkpoint_dir: str | None):
     path = None if checkpoint_dir is None else _level_path(checkpoint_dir, n)
     if n not in _levels:
@@ -107,8 +137,28 @@ def _ensure_level(n: int, workers: int, checkpoint_dir: str | None):
             _levels[n] = [child for batch in batches for child in batch]
     if path is not None and not os.path.exists(path):
         os.makedirs(checkpoint_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.writelines(line + "\n" for line in _levels[n])
+        _replace_file(path, _levels[n])
+
+
+def _resume_partial(partial: str, progress: str) -> tuple[int, int]:
+    """(parents done, lines written) as the last progress write recorded
+    them.  The partial file is cut back to that many lines, which drops a
+    batch appended after the write; with no record, or a file shorter than
+    the record, the stream starts over."""
+    done = count = 0
+    if os.path.exists(progress):
+        with open(progress) as fh:
+            done, count = map(int, fh.read().split())
+    with open(partial, "a+b") as fh:
+        fh.seek(0)
+        lines = size = 0
+        for line in islice(fh, count):
+            lines += 1
+            size += len(line)
+        if lines < count:
+            done = count = size = 0
+        fh.truncate(size)
+    return done, count
 
 
 def enumerate_graphs(n: int, *, workers: int = 1,
@@ -118,7 +168,9 @@ def enumerate_graphs(n: int, *, workers: int = 1,
 
     Levels up to 9 vertices are materialized (and reused across calls, or
     persisted to checkpoint_dir when given); the 10-vertex level, 12,005,168
-    classes, is streamed parent by parent instead of held as a list.
+    classes, is streamed parent by parent instead of held as a list.  With a
+    checkpoint_dir, a streamed level resumes after a crash where its last
+    progress record left off, without repeating any graph.
     """
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -133,19 +185,15 @@ def enumerate_graphs(n: int, *, workers: int = 1,
 
     _ensure_level(_MATERIALIZED_MAX, workers, checkpoint_dir)
     parents = _levels[_MATERIALIZED_MAX]
-    done = 0
-    partial = progress = None
+    done = count = 0
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         partial = os.path.join(checkpoint_dir, f"graphs-n{n}.partial.g6")
         progress = os.path.join(checkpoint_dir, f"graphs-n{n}.progress")
-        if os.path.exists(progress) and os.path.exists(partial):
-            with open(progress) as fh:
-                done = int(fh.read().strip() or 0)
-            with open(partial) as fh:
-                for line in fh:
-                    if line.strip():
-                        yield graph6_to_graph(line.strip())
+        done, count = _resume_partial(partial, progress)
+        with open(partial) as fh:
+            for line in fh:
+                yield graph6_to_graph(line.strip())
     for processed, batch in enumerate(_pmap(_augment_worker, parents[done:], workers),
                                       start=done + 1):
         for line in batch:
@@ -153,8 +201,8 @@ def enumerate_graphs(n: int, *, workers: int = 1,
         if checkpoint_dir is not None:
             with open(partial, "a") as fh:
                 fh.writelines(line + "\n" for line in batch)
-            with open(progress, "w") as fh:
-                fh.write(str(processed))
+            count += len(batch)
+            _replace_file(progress, [f"{processed} {count}"])
 
 
 def one_step_minors(g: Graph) -> Iterator[Graph]:

@@ -207,6 +207,14 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "(byte 1)" in err
 
+    def test_graph6_size_guard_at_the_boundary(self, capsys):
+        # 62 vertices fit the one-byte graph6 header; 63 need the "~" form
+        status, payload = run_json(capsys, "solve", "}" + "?" * 316)
+        assert status == 0 and payload["idf"] == 0
+        assert main(["solve", "~??~" + "?" * 326]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(byte 0)" in err
+
     def test_missing_file_like_argument_is_parsed_as_inline_text(self, capsys):
         assert main(["solve", "no-such-file.g6"]) == 2
         assert "error:" in capsys.readouterr().err

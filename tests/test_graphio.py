@@ -46,6 +46,7 @@ class TestGraph6:
         assert graph6_to_graph(b"Bw\r\n") == complete_graph(3)
 
     def test_encoder_size_guard(self):
+        assert graph6_to_graph(graph6_str(cycle_graph(62))) == cycle_graph(62)
         with pytest.raises(SizeLimitError):
             graph6_str(Graph(63))
 

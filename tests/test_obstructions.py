@@ -3,6 +3,7 @@ with their verification checks and catalog files."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,13 +11,15 @@ import sys
 import pytest
 from conftest import unlabeled_graph_count
 
+import idforest.obstructions as obstructions
 from idforest import (Graph, SizeLimitError, canonical_form, canonical_graph,
-                      complete_graph,
-                      cycle_graph, disjoint_union, enumerate_graphs,
+                      canonical_labeling, complete_graph,
+                      cycle_graph, delete_vertex, disjoint_union, enumerate_graphs,
                       family_obstruction_report, gen_marguerite, gen_triangles,
                       graph6_str, graph6_to_graph, idf_decision,
                       is_minor_minimal, obs_idf, obs_vc, one_step_minors,
-                      path_graph, vc_decision, verify_section4, write_catalog)
+                      path_graph, vc_decision, verify_section4, with_new_vertex,
+                      write_catalog)
 
 CHECK_NAMES = {
     "a_bridgeless",
@@ -33,6 +36,24 @@ def forms(graphs) -> set[bytes]:
     return {canonical_form(g) for g in graphs}
 
 
+def exhaustive_children(parent: Graph) -> list[Graph]:
+    """The enumerator's acceptance rule with nothing skipped: every one of the
+    2^n neighbour sets, with a full canonical search on each candidate."""
+    parent_code = canonical_form(parent)
+    out: dict[bytes, Graph] = {}
+    for bits in range(1 << parent.n):
+        child = with_new_vertex(parent, [v for v in range(parent.n) if (bits >> v) & 1])
+        drop = canonical_labeling(child).index(parent.n)
+        if canonical_form(delete_vertex(child, drop)) == parent_code:
+            rep = canonical_graph(child)
+            out.setdefault(canonical_form(rep), rep)
+    return [out[code] for code in sorted(out)]
+
+
+def level_sha256(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 4),
                                          (4, 11), (5, 34), (6, 156)])
@@ -43,6 +64,23 @@ class TestEnumeration:
 
     def test_level_seven_count(self):
         assert sum(1 for _ in enumerate_graphs(7)) == unlabeled_graph_count(7)
+
+    def test_levels_match_exhaustive_augmentation(self):
+        level = [Graph(0)]
+        for n in range(8):
+            if n:
+                level = [child for parent in level for child in exhaustive_children(parent)]
+            assert [graph6_str(g) for g in enumerate_graphs(n)] == \
+                [graph6_str(g) for g in level]
+
+    @pytest.mark.parametrize("n,digest", [
+        (7, "1dd8f91e8ea58c3c9d066fba8bfadccd0fdf4dbb6d5bb7afaa9e596ab366e6fe"),
+        (8, "41341657a26425e4edbcb40bf70fed0f664158d8e31d2400c55105a36b4d7e1f"),
+    ])
+    def test_level_files_are_pinned(self, n, digest):
+        lines = [graph6_str(g) for g in enumerate_graphs(n)]
+        assert len(lines) == unlabeled_graph_count(n)
+        assert level_sha256(lines) == digest
 
     def test_no_two_graphs_are_isomorphic(self):
         graphs = list(enumerate_graphs(6))
@@ -88,6 +126,62 @@ class TestEnumeration:
         level5 = tmp_path / "graphs-n5.g6"
         assert level5.exists()
         assert level5.read_text().split() == streamed
+
+    def test_level_write_cut_off_leaves_no_file(self, tmp_path, monkeypatch):
+        expected = [graph6_str(g) for g in enumerate_graphs(5)]
+        level5 = tmp_path / "graphs-n5.g6"
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" in mode and "graphs-n5" in str(path):
+                fh.write(expected[0] + "\n")
+                fh.close()
+                raise OSError("disk full")
+            return fh
+
+        monkeypatch.setattr(obstructions, "_levels", {})
+        monkeypatch.setattr(obstructions, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            next(enumerate_graphs(5, checkpoint_dir=str(tmp_path)))
+        assert not level5.exists()
+        monkeypatch.delattr(obstructions, "open")
+        monkeypatch.setattr(obstructions, "_levels", {})
+        again = [graph6_str(g) for g in enumerate_graphs(5, checkpoint_dir=str(tmp_path))]
+        assert again == expected
+        assert level5.read_text().split() == expected
+
+    def test_streamed_level_resumes_without_duplicates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(obstructions, "_MATERIALIZED_MAX", 5)
+        whole = [graph6_str(g) for g in enumerate_graphs(6)]
+        progress_writes = []
+
+        def crash_before_third_progress_write(path, mode="r", *args, **kwargs):
+            if "w" in mode and ".progress" in str(path):
+                progress_writes.append(path)
+                if len(progress_writes) == 3:
+                    raise OSError("crash between append and progress write")
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(obstructions, "open", crash_before_third_progress_write,
+                            raising=False)
+        first = []
+        with pytest.raises(OSError):
+            for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path)):
+                first.append(graph6_str(g))
+        assert first == whole[:len(first)]
+        monkeypatch.delattr(obstructions, "open")
+        resumed = [graph6_str(g) for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path))]
+        assert len(set(resumed)) == len(resumed)
+        assert resumed == whole
+
+    def test_streamed_level_restarts_when_partial_file_is_short(self, tmp_path,
+                                                                monkeypatch):
+        monkeypatch.setattr(obstructions, "_MATERIALIZED_MAX", 5)
+        whole = [graph6_str(g) for g in enumerate_graphs(6)]
+        (tmp_path / "graphs-n6.partial.g6").write_text(whole[0] + "\n")
+        (tmp_path / "graphs-n6.progress").write_text("3 10\n")
+        resumed = [graph6_str(g) for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path))]
+        assert resumed == whole
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):

@@ -155,6 +155,7 @@ class TestExactCover:
         assert vc_exact(Graph(10, outer + inner + spokes)).value == 6
 
     def test_size_guard(self):
+        assert vc_exact(path_graph(64)).value == 32
         with pytest.raises(SizeLimitError):
             vc_exact(Graph(65))
 
