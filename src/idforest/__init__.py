@@ -40,7 +40,7 @@ from .oracle import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_MINOR_MAX,
                      brute_idf, brute_minor, brute_vc)
 from .solver import (IdfCertificate, apex_bridgeless, idf_decision, idf_exact,
                      idf_kernel, partition_from_cover, vc_to_idf)
-from .vc import (VC_MAX_VERTICES, KernelInstance, VcSolution, is_trivial_no,
+from .vc import (VC_MAX_VERTICES, KernelInstance, VcSolution,
                  lp_half_integral, nt_kernel, vc_decision, vc_exact)
 
 __version__ = "0.1.0"
@@ -64,7 +64,7 @@ __all__ = [
     "graph6_to_graph",
     "identify_partition", "identify_set", "is_id_forest_partition",
     "normalize_partition", "partition_to_text", "text_to_partition",
-    "lp_half_integral", "nt_kernel", "is_trivial_no", "vc_decision",
+    "lp_half_integral", "nt_kernel", "vc_decision",
     "vc_exact",
     "idf_exact", "idf_decision", "idf_kernel", "apex_bridgeless", "vc_to_idf",
     "partition_from_cover",

@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .graph import Graph, remove_bridges
+from .graph import Graph
 from .graphio import edge_list_to_graph, graph6_str, graph6_to_graph
 from .identify import (identify_partition, is_id_forest_partition,
                        text_to_partition)
@@ -27,7 +27,7 @@ from .obstructions import obs_idf, obs_vc, verify_section4, write_catalog
 from .oracle import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_VC_MAX,
                      brute_ecf, brute_idf, brute_vc)
 from .solver import idf_exact, idf_kernel
-from .vc import is_trivial_no, nt_kernel, vc_exact
+from .vc import vc_exact
 
 _FAMILIES = {
     "cycle": gen_cycle,
@@ -98,18 +98,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     ki = idf_kernel(g, args.k)
-    # The reduction itself settles the instance when the cover stage already
-    # exceeded its budget; recompute that stage's verdict for the exit code.
-    decided_no = is_trivial_no(nt_kernel(remove_bridges(g), args.k))
     payload = {"graph6": graph6_str(ki.graph), "budget": ki.budget,
-               "decided_no": decided_no}
+               "decided_no": ki.decided_no}
     lines = [f"kernel: {graph6_str(ki.graph)}",
              f"budget: {ki.budget}",
              f"vertices: {ki.graph.n}"]
-    if decided_no:
+    if ki.decided_no:
         lines.append("verdict: no instance")
     _emit(args, payload, lines)
-    return 1 if decided_no else 0
+    return 1 if ki.decided_no else 0
 
 
 def _cmd_vc(args: argparse.Namespace) -> int:

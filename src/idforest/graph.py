@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import NotPresentError, SizeLimitError
+from .errors import NotPresentError
 
 Edge = tuple[int, int]
 # An EdgeSet is a frozenset of (u, v) pairs with u < v, all edges of one host graph.
@@ -145,41 +145,58 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
 # ---------------------------------------------------------------------------
 # structure queries
 
-def connected_components(g: Graph) -> list[frozenset]:
-    """Components as vertex sets, ordered by smallest member."""
-    seen = [False] * g.n
+def _bits(mask: int) -> Iterator[int]:
+    """The vertices of a vertex mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def components(adj_masks: tuple[int, ...], alive: int) -> list[int]:
+    """Components of the subgraph that the vertex mask `alive` induces, as
+    vertex masks ordered by lowest vertex.  Each grows breadth-first, one
+    whole frontier per step."""
     comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(frozenset(comp))
+    while alive:
+        comp = frontier = alive & -alive
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj_masks[v]
+            frontier = reach & alive & ~comp
+            comp |= frontier
+        comps.append(comp)
+        alive &= ~comp
     return comps
 
 
+def connected_components(g: Graph) -> list[frozenset]:
+    """Components as vertex sets, ordered by smallest member."""
+    return [frozenset(_bits(c)) for c in components(g.adj_masks, (1 << g.n) - 1)]
+
+
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(components(g.adj_masks, (1 << g.n) - 1)) <= 1
 
 
 def is_forest(g: Graph) -> bool:
     # acyclic iff m = n - #components, for simple graphs
-    return g.m == g.n - len(connected_components(g))
+    return g.m == g.n - len(components(g.adj_masks, (1 << g.n) - 1))
 
 
-def bridges(g: Graph) -> EdgeSet:
-    """All bridges, found with one low-link DFS pass per component."""
+def _low_link(g: Graph) -> tuple[EdgeSet, frozenset]:
+    """Bridges and cut vertices from one low-link DFS pass per component
+    (Hopcroft and Tarjan, 1973).
+
+    A tree edge p-u is a bridge iff low[u] > disc[p]; a non-root p is a cut
+    vertex iff some child u has low[u] >= disc[p], a root iff it has two or
+    more children.
+    """
     disc = [-1] * g.n
     low = [0] * g.n
-    out: set = set()
+    bridge_set: set = set()
+    cut: set = set()
     counter = 0
     for root in range(g.n):
         if disc[root] != -1:
@@ -187,31 +204,38 @@ def bridges(g: Graph) -> EdgeSet:
         # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
         disc[root] = low[root] = counter
         counter += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(sorted(g.adj[root])))]
+        root_children = 0
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(g.adj_masks[root]))]
         while stack:
             u, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if w == parent:
-                    # simple graph: skip the single parent edge
-                    parent = -2
-                    stack[-1] = (u, -2, it)
-                    continue
+                    continue  # simple graph: the one parent edge, met once
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, u, iter(sorted(g.adj[w]))))
-                    advanced = True
+                    stack.append((w, u, _bits(g.adj_masks[w])))
                     break
                 low[u] = min(low[u], disc[w])
-            if not advanced:
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[u])
                     if low[u] > disc[p]:
-                        out.add(_norm_edge(p, u))
-    return frozenset(out)
+                        bridge_set.add(_norm_edge(p, u))
+                    if p == root:
+                        root_children += 1
+                    elif low[u] >= disc[p]:
+                        cut.add(p)
+        if root_children >= 2:
+            cut.add(root)
+    return frozenset(bridge_set), frozenset(cut)
+
+
+def bridges(g: Graph) -> EdgeSet:
+    """All bridges, read off the shared low-link pass."""
+    return _low_link(g)[0]
 
 
 def remove_bridges(g: Graph) -> Graph:
@@ -223,12 +247,11 @@ def remove_bridges(g: Graph) -> Graph:
 def cut_vertices(g: Graph) -> frozenset:
     """Vertices whose removal increases the component count.
 
-    Definition-checked; at desk scale the O(n (n+m)) loop is plainly correct.
+    Read off the same low-link pass as `bridges`, which walks the
+    `adj_masks` bitmask rows: a non-root is a cut vertex when some DFS child
+    cannot reach above it, the DFS root when it has two or more children.
     """
-    base = len(connected_components(g))
-    out = [v for v in range(g.n)
-           if len(connected_components(delete_vertex(g, v))) > base]
-    return frozenset(out)
+    return _low_link(g)[1]
 
 
 def is_2_connected(g: Graph) -> bool:

@@ -18,8 +18,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .graph import (Graph, connected_components, cycle_graph, disjoint_union,
-                    induced_subgraph, is_forest, remove_bridges)
+from .graph import (Graph, _bits, components, cycle_graph, disjoint_union,
+                    induced_subgraph, remove_bridges)
 from .identify import VertexPartition
 from .oracle import MinorModel, brute_minor
 from .solver import partition_from_cover
@@ -340,29 +340,16 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
             return DichotomyOutcome("marguerite", k, model, None)
 
     x = exact_fvs(g)
+    xmask = sum(1 << v for v in x)
     forest_verts = [v for v in range(g.n) if v not in x]
     forest_adj = {v: frozenset(w for w in g.adj[v] if w not in x) for v in forest_verts}
-    trees = []
-    seen: set = set()
-    for s in forest_verts:
-        if s in seen:
-            continue
-        stack, comp = [s], {s}
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in forest_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        trees.append(frozenset(comp))
+    trees = [frozenset(_bits(t))
+             for t in components(g.adj_masks, ((1 << g.n) - 1) & ~xmask)]
 
-    sub_x, origin_x = induced_subgraph(g, x)
     kept_edges: set = set()
     internal: set = set()
-    for comp in connected_components(sub_x):
-        cx = frozenset(origin_x[v] for v in comp)
+    for comp in components(g.adj_masks, xmask):
+        cx = frozenset(_bits(comp))
         contacts = frozenset(w for v in cx for w in g.adj[v] if w not in x)
         for tree in trees:
             if not (tree & contacts):

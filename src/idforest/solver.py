@@ -97,7 +97,7 @@ def idf_kernel(g: Graph, k: int) -> KernelInstance:
     """Shrink (g, k) to an equivalent instance on at most 2k+1 vertices.
 
     Pipeline: drop bridges, run the half-integral cover kernel, and if the
-    reduced graph still has a bridge (the canonical no-instance does), apex
+    reduced graph still has a bridge (the decided no-instance does), apex
     it with budget+1 so the output is again bridgeless-or-decided.  The
     budget never exceeds k+1.  For k = 0 a negative answer cannot fit in
     2k+1 = 1 vertices (every such graph is a forest), so only there the
@@ -107,5 +107,6 @@ def idf_kernel(g: Graph, k: int) -> KernelInstance:
     ki = nt_kernel(core, k)
     if bridges(ki.graph):
         apexed, _ = apex_bridgeless(ki.graph)
-        return KernelInstance(apexed, ki.budget + 1, ki.forced, dict(ki.origin))
+        return KernelInstance(apexed, ki.budget + 1, ki.forced, dict(ki.origin),
+                              ki.decided_no)
     return ki

@@ -13,14 +13,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import SizeLimitError
-from .graph import Graph, induced_subgraph
+from .graph import Graph, _bits, components, induced_subgraph
 
 VC_MAX_VERTICES = 64
-
-#: canonical constant-size no-instance emitted once a kernel run has already
-#: decided "no": a single edge with budget 0.
-TRIVIAL_NO_GRAPH = Graph(2, [(0, 1)])
-TRIVIAL_NO_BUDGET = 0
 
 
 @dataclass(frozen=True)
@@ -39,17 +34,15 @@ class KernelInstance:
     `forced` is the set of original vertices already committed to the cover,
     `origin` maps kernel vertices back to original labels (synthetic
     vertices, e.g. an added apex or the trivial no-instance, are absent).
+    `decided_no` is True when the reduction itself settled the answer "no";
+    the graph and budget are then a constant-size no-instance.
     """
 
     graph: Graph
     budget: int
     forced: frozenset
     origin: Mapping[int, int]
-
-
-def is_trivial_no(k: KernelInstance) -> bool:
-    # unambiguous: a genuine reduced instance always satisfies |V| <= 2*budget
-    return k.graph == TRIVIAL_NO_GRAPH and k.budget == TRIVIAL_NO_BUDGET
+    decided_no: bool
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +106,7 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
     The V1 vertices are forced into the cover, V0 is discarded, and the
     half-valued part survives.  A run that is already decided negative
     (budget overdrawn, or more than 2*budget surviving vertices) returns
-    the canonical trivial no-instance.
+    a single edge with budget 0 and `decided_no` set.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
@@ -124,94 +117,67 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
     sub, origin2 = induced_subgraph(sub, keep)
     origin = tuple(origin[v] for v in origin2)
     if budget < 0 or sub.n > 2 * budget:
-        return KernelInstance(TRIVIAL_NO_GRAPH, TRIVIAL_NO_BUDGET, frozenset(), {})
-    return KernelInstance(sub, budget, frozenset(v1), dict(enumerate(origin)))
+        return KernelInstance(Graph(2, [(0, 1)]), 0, frozenset(), {}, True)
+    return KernelInstance(sub, budget, frozenset(v1), dict(enumerate(origin)), False)
 
 
 # ---------------------------------------------------------------------------
 # exact solver
 
-def _path_cycle_cover(g: Graph, comp: list[int]) -> set:
+def _path_cycle_cover(adj: tuple[int, ...], comp: int) -> int:
     """Minimum cover of a component with max degree <= 2 (path or cycle)."""
-    if len(comp) == 1:
-        return set()
-    degs = {v: len(g.adj[v] & frozenset(comp)) for v in comp}
-    ends = sorted(v for v in comp if degs[v] <= 1)
-    start = ends[0] if ends else min(comp)
-    # walk the component
+    ends = [v for v in _bits(comp) if (adj[v] & comp).bit_count() <= 1]
+    start = ends[0] if ends else (comp & -comp).bit_length() - 1
+    # walk the component, always to the smallest unseen neighbour
     order = [start]
-    seen = {start}
-    while True:
-        nxt = [w for w in sorted(g.adj[order[-1]]) if w in degs and w not in seen]
-        if not nxt:
-            break
-        order.append(nxt[0])
-        seen.add(nxt[0])
+    seen = 1 << start
+    while nxt := adj[order[-1]] & comp & ~seen:
+        low = nxt & -nxt
+        order.append(low.bit_length() - 1)
+        seen |= low
     t = len(order)
-    if ends:  # path: every second vertex
-        return {order[i] for i in range(1, t, 2)}
-    if t % 2 == 0:  # even cycle: alternate
-        return {order[i] for i in range(1, t, 2)}
-    # odd cycle: ceil(t/2), the wrap-around edge needs one extra
-    return {order[i] for i in range(1, t - 1, 2)} | {order[t - 1]}
+    if ends or t % 2 == 0:  # path or even cycle: every second vertex
+        picked = order[1:t:2]
+    else:  # odd cycle: ceil(t/2), the wrap-around edge needs one extra
+        picked = order[1:t - 1:2] + [order[t - 1]]
+    return sum(1 << v for v in picked)
 
 
-def _vc_component(g: Graph, comp: list[int], best_cap: int) -> set | None:
-    """Minimum cover of g restricted to comp, or None if it must exceed best_cap."""
-    alive = frozenset(comp)
-    degs = {v: len(g.adj[v] & alive) for v in comp}
-    maxdeg = max(degs.values(), default=0)
+def _vc_component(adj: tuple[int, ...], comp: int, best_cap: int) -> int | None:
+    """Minimum cover of the component mask comp, or None if it must exceed best_cap."""
+    maxdeg, v = max(((adj[u] & comp).bit_count(), -u) for u in _bits(comp))
+    v = -v  # the smallest vertex of maximum degree
     if maxdeg == 0:
-        return set()
+        return 0
     if maxdeg <= 2:
-        sol = _path_cycle_cover(g, comp)
-        return sol if len(sol) <= best_cap else None
-    v = min(u for u in comp if degs[u] == maxdeg)
+        sol = _path_cycle_cover(adj, comp)
+        return sol if sol.bit_count() <= best_cap else None
     # branch: take v ...
-    best: set | None = None
-    rest = [u for u in comp if u != v]
-    sub = _vc_split(g, rest, best_cap - 1)
-    if sub is not None:
-        best = {v} | sub
-        best_cap = min(best_cap, len(best) - 1)
+    rest = comp & ~(1 << v)
+    best = _vc_split(adj, rest, best_cap - 1)
+    if best is not None:
+        best |= 1 << v
+        best_cap = min(best_cap, best.bit_count() - 1)
     # ... or take all of N(v)
-    nv = g.adj[v] & alive
-    rest2 = [u for u in comp if u != v and u not in nv]
-    sub2 = _vc_split(g, rest2, best_cap - len(nv))
-    if sub2 is not None:
-        cand = set(nv) | sub2
-        if best is None or len(cand) < len(best):
-            best = cand
+    nv = adj[v] & comp
+    sub = _vc_split(adj, rest & ~nv, best_cap - nv.bit_count())
+    if sub is not None and (best is None or (nv | sub).bit_count() < best.bit_count()):
+        best = nv | sub
     return best
 
 
-def _vc_split(g: Graph, verts: list[int], cap: int) -> set | None:
-    """Minimum cover of g[verts] if its size is <= cap, else None."""
+def _vc_split(adj: tuple[int, ...], alive: int, cap: int) -> int | None:
+    """Minimum cover of the subgraph the mask alive induces, as a mask, if
+    its size is <= cap, else None."""
     if cap < 0:
         return None
-    alive = set(verts)
-    comps: list[list[int]] = []
-    seen: set = set()
-    for s in verts:
-        if s in seen:
-            continue
-        stack, comp = [s], [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    total: set = set()
-    for comp in comps:
-        sol = _vc_component(g, comp, cap - len(total))
+    total = 0
+    for comp in components(adj, alive):
+        sol = _vc_component(adj, comp, cap - total.bit_count())
         if sol is None:
             return None
         total |= sol
-    return total if len(total) <= cap else None
+    return total
 
 
 def vc_exact(g: Graph) -> VcSolution:
@@ -220,14 +186,15 @@ def vc_exact(g: Graph) -> VcSolution:
     Preprocesses with the half-integral split, then branches on a maximum
     degree vertex (take it, or take its whole neighborhood); ties go to the
     smallest label, components with max degree <= 2 are solved directly.
+    The branching works on `g.adj_masks` with vertex sets as int masks, and
+    splits each remaining subgraph into components with `components`.
     """
     if g.n > VC_MAX_VERTICES:
         raise SizeLimitError(f"vc_exact supports up to {VC_MAX_VERTICES} vertices, got {g.n}")
     _, vhalf, v1 = lp_half_integral(g)
-    sub, origin = induced_subgraph(g, vhalf)
-    sol = _vc_split(sub, list(range(sub.n)), sub.n)
+    sol = _vc_split(g.adj_masks, sum(1 << v for v in vhalf), len(vhalf))
     assert sol is not None
-    cover = frozenset(v1) | frozenset(origin[v] for v in sol)
+    cover = frozenset(v1) | frozenset(_bits(sol))
     return VcSolution(value=len(cover), cover=cover)
 
 

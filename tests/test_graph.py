@@ -21,6 +21,14 @@ def bowtie() -> Graph:
     return Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 
 
+def cut_vertices_by_definition(g: Graph) -> frozenset:
+    """Vertices whose deletion increases the component count, by the
+    O(n (n+m)) definition loop."""
+    base = len(connected_components(g))
+    return frozenset(v for v in range(g.n)
+                     if len(connected_components(delete_vertex(g, v))) > base)
+
+
 class TestConstruction:
     def test_edges_are_normalized_and_deduplicated(self):
         g = Graph(3, [(1, 0), (0, 1), (2, 1)])
@@ -148,6 +156,12 @@ class TestBridges:
                 if len(connected_components(delete_edge(g, e))) > base)
             assert bridges(g) == slow
 
+    def test_cut_vertices_match_component_count_definition(self):
+        rng = random.Random(13)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 10), rng.choice([0.15, 0.3, 0.5]))
+            assert cut_vertices(g) == cut_vertices_by_definition(g)
+
     def test_remove_bridges_keeps_vertex_count(self):
         g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
         core = remove_bridges(g)
@@ -158,6 +172,27 @@ class TestBridges:
         assert remove_bridges(path_graph(7)).m == 0
         g = bowtie()
         assert remove_bridges(remove_bridges(g)) == remove_bridges(g) == g
+
+
+class TestTraversalsAgainstNetworkx:
+    """The shared mask traversal also decides is_forest for brute_idf, so it
+    is checked against an independent implementation at n = 20..64."""
+
+    def test_components_bridges_and_cut_vertices(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20)
+        for n in range(20, 65, 4):
+            for degree in (1.0, 2.0, 4.0):  # sparse enough for bridges and cut vertices
+                g = random_graph(rng, n, degree / (n - 1))
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                h.add_edges_from(g.edges)
+                want = sorted((frozenset(c) for c in nx.connected_components(h)), key=min)
+                assert connected_components(g) == want
+                assert is_connected(g) == nx.is_connected(h)
+                assert is_forest(g) == nx.is_forest(h)
+                assert bridges(g) == frozenset(tuple(sorted(e)) for e in nx.bridges(h))
+                assert cut_vertices(g) == frozenset(nx.articulation_points(h))
 
 
 class TestMinorOperations:

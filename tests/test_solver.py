@@ -14,7 +14,7 @@ from idforest import (Graph, VertexPartition, apex_bridgeless, bridges,
                       brute_vc, complete_graph, cycle_graph, disjoint_union,
                       gen_marguerite, gen_triangles, identify_partition,
                       idf_decision, idf_exact, idf_kernel, is_forest,
-                      is_id_forest_partition, is_isomorphic, is_trivial_no,
+                      is_id_forest_partition, is_isomorphic,
                       partition_from_cover, path_graph, remove_bridges,
                       vc_exact, vc_to_idf, with_new_vertex)
 
@@ -160,7 +160,7 @@ class TestKernelPipeline:
     def test_forest_shrinks_to_nothing(self):
         ki = idf_kernel(path_graph(9), 0)
         assert ki.graph == Graph(0) and ki.budget == 0
-        assert not is_trivial_no(ki)
+        assert not ki.decided_no
 
     def test_triangle_with_pendant_keeps_its_core(self):
         g = with_new_vertex(complete_graph(3), [0])

@@ -3,6 +3,7 @@ exact solver, each checked against independent brute-force oracles."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -11,7 +12,7 @@ from conftest import brute_lp_value, graphs_up_to, random_graph
 
 from idforest import (Graph, KernelInstance, SizeLimitError,
                       complete_bipartite_graph, complete_graph, cycle_graph,
-                      disjoint_union, induced_subgraph, is_trivial_no,
+                      disjoint_union, idf_exact, induced_subgraph,
                       lp_half_integral, nt_kernel, path_graph, vc_decision,
                       vc_exact)
 
@@ -85,14 +86,14 @@ class TestCoverKernel:
         assert ki.graph == Graph(0)
         assert ki.budget == 0
         assert ki.forced == frozenset({0})
-        assert not is_trivial_no(ki)
+        assert not ki.decided_no
 
     def test_triangle_with_budget_one_is_a_no_instance(self):
-        assert is_trivial_no(nt_kernel(complete_graph(3), 1))
+        assert nt_kernel(complete_graph(3), 1).decided_no
 
     def test_three_matchings_with_budget_two_is_a_no_instance(self):
         g = disjoint_union(*[complete_graph(2)] * 3)
-        assert is_trivial_no(nt_kernel(g, 2))
+        assert nt_kernel(g, 2).decided_no
 
     def test_kernel_is_the_half_part(self):
         g = disjoint_union(cycle_graph(4), star(3))
@@ -109,7 +110,7 @@ class TestCoverKernel:
             want_vc = brute_cover_number(g)
             for k in range(6):
                 ki = nt_kernel(g, k)
-                if is_trivial_no(ki):
+                if ki.decided_no:
                     assert want_vc > k
                     continue
                 assert ki.graph.n <= 2 * ki.budget
@@ -158,6 +159,39 @@ class TestExactCover:
         assert vc_exact(path_graph(64)).value == 32
         with pytest.raises(SizeLimitError):
             vc_exact(Graph(65))
+
+
+class TestExactCoverWhereTheBranchingRuns:
+    """n = 20..64, past brute_vc's reach, where the branching does the work."""
+
+    def test_matches_integer_program(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        import numpy as np
+        rng = random.Random(64)
+        for n in (20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64):
+            g = random_graph(rng, n, rng.uniform(0.1, 0.15))
+            edges = sorted(g.edges)
+            rows = np.zeros((len(edges), n))
+            for i, (u, v) in enumerate(edges):
+                rows[i, u] = rows[i, v] = 1
+            res = scipy_optimize.milp(
+                np.ones(n), integrality=np.ones(n), bounds=scipy_optimize.Bounds(0, 1),
+                constraints=scipy_optimize.LinearConstraint(rows, lb=1))
+            assert res.success
+            sol = vc_exact(g)
+            assert sol.value == round(res.fun), f"n={n}"
+            assert sol.covers(g) and len(sol.cover) == sol.value
+
+    def test_certificates_are_pinned(self):
+        # sha256 of the idf_exact JSON lines, taken before the branching
+        # moved onto bitmasks; any change of tie-breaking shows here
+        rng = random.Random(2024)
+        lines = []
+        for n in (24, 32, 40, 48, 56, 64):
+            for degree in (3, 4, 5, 6):
+                lines.append(idf_exact(random_graph(rng, n, degree / (n - 1))).as_json())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e2116ed5c65dfbc68163e3a6c790e4d84f6a8550d80c97d088b8595f862c9e74"
 
 
 class TestCoverDecision:
