@@ -8,11 +8,17 @@ independent branches parallelize trivially.  Only attachments that give the
 new vertex maximum degree are tried, because canonical refinement keeps cell
 order and so puts a maximum-degree vertex last.
 
-On top of the enumeration sit the obstruction scans (minor-minimal graphs
-outside "vertex cover at most k" and outside "identification distance to a
-forest at most k"), a battery of structural cross-checks relating the two
-sets, and a report reconciling the three named families against the
-computed ground truth.
+The obstruction scans find the minor-minimal graphs outside "vertex cover at
+most k" and outside "identification distance to a forest at most k".  Both
+classes are minor-closed and a child's canonical parent is a proper minor of
+it, so a scan augments only the members of each level, never the full level:
+a child inside the class joins the next level, and a child outside it is
+tested against its one-step minors.  That test is skipped for a child with an
+isolated vertex, and for idf also for a child with a bridge, because deleting
+that vertex or bridge leaves a proper minor still outside the class.  On top
+of the scans sit a battery of structural cross-checks relating the two sets,
+and a report reconciling the three named families against the computed
+ground truth.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, compress, islice, tee
+from itertools import combinations, islice
 
 from .canon import canonical_form, canonical_labeling
 from .errors import SizeLimitError
@@ -115,19 +121,28 @@ def _level_path(checkpoint_dir: str, n: int) -> str:
 
 def _replace_file(path: str, lines: Iterable[str]):
     """Write lines to path through a temporary file and os.replace, so that a
-    crash leaves the old file or the new one at path, never a cut-off one."""
+    crash leaves the old file or the new one at path, never a cut-off one.  A
+    write that raises removes its temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(line + "\n" for line in lines)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_lines(path: str) -> list[str]:
+    with open(path) as fh:
+        return [line.strip() for line in fh if line.strip()]
 
 
 def _ensure_level(n: int, workers: int, checkpoint_dir: str | None):
     path = None if checkpoint_dir is None else _level_path(checkpoint_dir, n)
     if n not in _levels:
         if path is not None and os.path.exists(path):
-            with open(path) as fh:
-                _levels[n] = [line.strip() for line in fh if line.strip()]
+            _levels[n] = _read_lines(path)
             return
         if n == 0:
             _levels[0] = [graph6_str(Graph(0))]
@@ -269,18 +284,60 @@ def _predicate_for(kind: str, k: int) -> Predicate:
     return partial(vc_decision if kind == "vc" else idf_decision, k=k)
 
 
+def _skips_minimality(child: Graph, kind: str) -> bool:
+    """A failing child with an isolated vertex is not minimal, since deleting
+    that vertex changes neither value.  Nor is a failing child with a bridge
+    for idf, since bridge removal preserves the identification number."""
+    return not all(child.adj_masks) or (kind == "idf" and bool(bridges(child)))
+
+
+def _scan_worker(parent_line: str, kind: str, k: int) -> tuple[list[str], list[str]]:
+    """The member children and the minor-minimal non-member children of one
+    member parent, as graph6 lines in the parent's child order."""
+    predicate = _predicate_for(kind, k)
+    members: list[str] = []
+    found: list[str] = []
+    for child in _augmented_children(graph6_to_graph(parent_line)):
+        if predicate(child):
+            members.append(graph6_str(child))
+        elif not _skips_minimality(child, kind) and \
+                all(predicate(h) for h in one_step_minors(child)):
+            found.append(graph6_str(child))
+    return members, found
+
+
 def _scan(kind: str, k: int, max_n: int, *, workers: int,
           checkpoint_dir: str | None) -> tuple[Graph, ...]:
-    test = partial(is_minor_minimal, predicate=_predicate_for(kind, k))
-    found: list[Graph] = []
-    for n in range(max_n + 1):
-        # the streamed 10-vertex level is augmented serially, so that only
-        # the scan's pool is open while it runs
-        enum_workers = workers if n <= _MATERIALIZED_MAX else 1
-        graphs, probe = tee(enumerate_graphs(n, workers=enum_workers,
-                                             checkpoint_dir=checkpoint_dir))
-        found.extend(compress(graphs, _pmap(test, probe, workers)))
-    return tuple(sorted(found, key=canonical_form))
+    """Minor-minimal non-members on up to max_n vertices, grown from members
+    only: both predicates are minor-closed, and a canonical child's parent is
+    a proper minor of it, so every minimal non-member has a member parent.
+
+    With a checkpoint_dir, each level's obstructions and then its members are
+    written as whole files; a rerun reads back every level whose member file
+    exists instead of scanning it again."""
+    worker = partial(_scan_worker, kind=kind, k=k)
+    members = [graph6_str(Graph(0))]
+    found: list[str] = []
+    for n in range(1, max_n + 1):
+        if checkpoint_dir is not None:
+            stem = os.path.join(checkpoint_dir, f"scan-{kind}-k{k}-n{n}")
+            found_path, members_path = stem + ".found.g6", stem + ".members.g6"
+            if os.path.exists(members_path):
+                found.extend(_read_lines(found_path))
+                members = _read_lines(members_path)
+                continue
+        level_members: list[str] = []
+        level_found: list[str] = []
+        for child_members, child_found in _pmap(worker, members, workers):
+            level_members.extend(child_members)
+            level_found.extend(child_found)
+        if checkpoint_dir is not None:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+            _replace_file(found_path, level_found)
+            _replace_file(members_path, level_members)
+        found.extend(level_found)
+        members = level_members
+    return tuple(sorted(map(graph6_to_graph, found), key=canonical_form))
 
 
 def obs_vc(k: int, *, long_run: bool = False, workers: int = 1,
@@ -503,9 +560,6 @@ def write_catalog(report: ObstructionReport, directory: str) -> tuple[str, str]:
     stem = f"obs-{report.kind}-k{report.k}"
     g6_path = os.path.join(directory, stem + ".g6")
     json_path = os.path.join(directory, stem + ".json")
-    with open(g6_path, "w") as fh:
-        fh.writelines(line + "\n" for line in report.graph6_lines())
-    with open(json_path, "w") as fh:
-        json.dump(report.as_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _replace_file(g6_path, report.graph6_lines())
+    _replace_file(json_path, [json.dumps(report.as_json_dict(), indent=2, sort_keys=True)])
     return g6_path, json_path

@@ -5,21 +5,26 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 from conftest import unlabeled_graph_count
 
 import idforest.obstructions as obstructions
-from idforest import (Graph, SizeLimitError, canonical_form, canonical_graph,
-                      canonical_labeling, complete_graph,
+from idforest import (Graph, SizeLimitError, bridges, canonical_form,
+                      canonical_graph, canonical_labeling, complete_graph,
                       cycle_graph, delete_vertex, disjoint_union, enumerate_graphs,
                       family_obstruction_report, gen_marguerite, gen_triangles,
-                      graph6_str, graph6_to_graph, idf_decision,
+                      graph6_str, graph6_to_graph, idf_decision, idf_exact,
                       is_minor_minimal, obs_idf, obs_vc, one_step_minors,
-                      path_graph, vc_decision, verify_section4, with_new_vertex,
-                      write_catalog)
+                      path_graph, vc_decision, vc_exact, verify_section4,
+                      with_new_vertex, write_catalog)
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 CHECK_NAMES = {
     "a_bridgeless",
@@ -48,6 +53,14 @@ def exhaustive_children(parent: Graph) -> list[Graph]:
             rep = canonical_graph(child)
             out.setdefault(canonical_form(rep), rep)
     return [out[code] for code in sorted(out)]
+
+
+def full_scan(predicate, max_n: int) -> list[str]:
+    """The scan without membership pruning: every class on up to max_n
+    vertices goes through the minimality test."""
+    found = [g for n in range(max_n + 1) for g in enumerate_graphs(n)
+             if is_minor_minimal(g, predicate)]
+    return [graph6_str(g) for g in sorted(found, key=canonical_form)]
 
 
 def level_sha256(lines: list[str]) -> str:
@@ -251,20 +264,97 @@ class TestObstructionScans:
             obs_vc(4, long_run=True)
 
     def test_parallel_scans_match_serial(self):
-        # levels 5 and 6 hold enough graphs to go through the pool
-        serial = [obs_vc(2, workers=1).as_json_dict(),
-                  obs_idf(1, workers=1).as_json_dict()]
+        # levels 7 and 8 of the budget-2 identification scan grow from 61 and
+        # 157 member parents, enough to go through the pool
+        serial = obs_idf(2, workers=1).as_json_dict()
         script = ("import json, idforest\n"
-                  "print(json.dumps([idforest.obs_vc(2, workers=2).as_json_dict(),\n"
-                  "                  idforest.obs_idf(1, workers=2).as_json_dict()]))\n")
+                  "print(json.dumps(idforest.obs_idf(2, workers=2).as_json_dict()))\n")
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout) == serial
+
+    def test_checkpointed_levels_are_read_back(self, tmp_path, monkeypatch):
+        expected = obs_vc(2).graph6_lines()
+        assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
+        names = sorted(os.listdir(tmp_path))
+        assert names == sorted(f"scan-vc-k2-n{n}.{part}.g6"
+                               for n in range(1, 7) for part in ("found", "members"))
+        assert (tmp_path / "scan-vc-k2-n5.found.g6").read_text() == "D`K\nDLo\n"
+
+        def no_augmentation(parent):
+            raise AssertionError("a checkpointed level was scanned again")
+
+        monkeypatch.setattr(obstructions, "_augmented_children", no_augmentation)
+        assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
+        # a level without its member file is scanned again, and the ones after it
+        (tmp_path / "scan-vc-k2-n6.members.g6").unlink()
+        monkeypatch.undo()
+        assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
+        assert (tmp_path / "scan-vc-k2-n6.members.g6").exists()
 
     def test_reports_serialize(self):
         payload = obs_vc(1).as_json_dict()
         assert payload["kind"] == "vc" and payload["k"] == 1
         assert payload["count"] == 2 == len(payload["obstructions"])
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
+                                        ("idf", 0), ("idf", 1)])
+    def test_matches_the_full_scan(self, kind, k):
+        if kind == "vc":
+            report, max_n = obs_vc(k), 2 * k + 2
+        else:
+            report, max_n = obs_idf(k), 2 * k + 4
+        predicate = obstructions._predicate_for(kind, k)
+        assert report.graph6_lines() == full_scan(predicate, max_n)
+
+    def test_skipped_children_are_never_minimal(self):
+        skipped = {"vc": 0, "idf": 0}
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                isolated = any(g.degree(v) == 0 for v in g.vertices)
+                bridged = bool(bridges(g))
+                for kind in ("vc", "idf"):
+                    skip = isolated or (kind == "idf" and bridged)
+                    assert obstructions._skips_minimality(g, kind) == skip
+                    if not skip:
+                        continue
+                    skipped[kind] += 1
+                    for k in range(3):
+                        assert not is_minor_minimal(
+                            g, obstructions._predicate_for(kind, k)), (kind, k, g)
+        assert skipped["vc"] < skipped["idf"]
+
+
+class TestBudgetThreeCatalogs:
+    """The k = 3 catalogs of `idforest obstructions --k 3 --long-run`,
+    pinned as test data and re-proved here graph by graph."""
+
+    @pytest.mark.parametrize("kind,count", [("vc", 8), ("idf", 7)])
+    def test_pinned_graphs_are_minimal_with_their_values(self, kind, count):
+        lines = (DATA / f"obs-{kind}-k3.g6").read_text().split()
+        assert len(lines) == count
+        graphs = [graph6_to_graph(line) for line in lines]
+        assert len(forms(graphs)) == count
+        predicate = obstructions._predicate_for(kind, 3)
+        for g in graphs:
+            assert is_minor_minimal(g, predicate), graph6_str(g)
+            if kind == "vc":
+                assert vc_exact(g).value == 4
+            else:
+                assert 4 <= idf_exact(g).value <= 5
+                assert g.n <= 10
+
+    def test_sidecars_match_and_checks_passed(self):
+        for kind in ("vc", "idf"):
+            payload = json.loads((DATA / f"obs-{kind}-k3.json").read_text())
+            assert payload["kind"] == kind and payload["k"] == 3
+            assert payload["obstructions"] == \
+                (DATA / f"obs-{kind}-k3.g6").read_text().split()
+        checks = json.loads((DATA / "obs-idf-k3.json").read_text())["checks"]
+        assert set(checks) == CHECK_NAMES
+        assert all(c["passed"] for c in checks.values())
 
 
 class TestVerification:
@@ -318,3 +408,30 @@ class TestCatalogFiles:
         again = write_catalog(report, str(tmp_path / "b"))
         assert open(again[0]).read() == open(g6_path).read()
         assert open(again[1]).read() == open(json_path).read()
+
+    @pytest.mark.parametrize("suffix", [".g6", ".json"])
+    def test_failed_write_leaves_the_previous_catalog(self, tmp_path, monkeypatch,
+                                                      suffix):
+        old = obs_vc(1)
+        g6_path, json_path = write_catalog(old, str(tmp_path))
+        g6_file, json_file = pathlib.Path(g6_path), pathlib.Path(json_path)
+        old_g6, old_json = g6_file.read_text(), json_file.read_text()
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            fh = open(path, mode, *args, **kwargs)
+            if "w" in mode and suffix + "." in str(path):
+                fh.write("cut")
+                fh.close()
+                raise OSError("disk full")
+            return fh
+
+        monkeypatch.setattr(obstructions, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            write_catalog(replace(old, obstructions=obs_vc(2).obstructions), str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == ["obs-vc-k1.g6", "obs-vc-k1.json"]
+        assert json_file.read_text() == old_json
+        # the .g6 file is written first, so it is new when only the .json write failed
+        if suffix == ".g6":
+            assert g6_file.read_text() == old_g6
+        else:
+            assert g6_file.read_text().split() == obs_vc(2).graph6_lines()
