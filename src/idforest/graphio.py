@@ -1,9 +1,12 @@
-"""Graph serialization: the graph6 format (n <= 62) and a plain edge list.
+"""Graph serialization: the graph6 format (n <= 258047) and a plain edge list.
 
-graph6 layout, bit-exact per the published format: one header byte n+63,
-then the upper triangle of the adjacency matrix read column by column
+graph6 layout, bit-exact per the published format: a size header, then the
+upper triangle of the adjacency matrix read column by column
 (pairs (0,1), (0,2), (1,2), (0,3), ...), packed big-endian six bits per
-byte, each byte offset by 63, zero-padded to a byte boundary.
+byte, each byte offset by 63, zero-padded to a byte boundary.  The header
+is the byte n+63 for n <= 62, and for 63 <= n <= 258047 the byte 126
+followed by n as 18 bits in three such six-bit bytes.  The eight-byte form
+for larger n is not supported.
 
 The edge-list format is line oriented: a header line "n m", then m lines
 "u v" with 0-indexed endpoints.
@@ -14,7 +17,9 @@ from __future__ import annotations
 from .errors import Graph6ParseError, SizeLimitError
 from .graph import Graph
 
-GRAPH6_MAX_VERTICES = 62
+GRAPH6_MAX_VERTICES = 258047
+_GRAPH6_BYTES = bytes(range(63, 127))
+_SIX_BITS = {byte: format(byte - 63, "06b") for byte in _GRAPH6_BYTES}
 
 
 def _pairs(n: int):
@@ -27,7 +32,10 @@ def graph6_bytes(g: Graph) -> bytes:
     if g.n > GRAPH6_MAX_VERTICES:
         raise SizeLimitError(
             f"graph6 encoder supports up to {GRAPH6_MAX_VERTICES} vertices, got {g.n}")
-    out = [g.n + 63]
+    if g.n <= 62:
+        out = [g.n + 63]
+    else:  # "~", then n in three six-bit bytes
+        out = [126, (g.n >> 12) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63]
     acc = 0
     nbits = 0
     for i, j in _pairs(g.n):
@@ -52,31 +60,36 @@ def graph6_to_graph(data: bytes | str) -> Graph:
     if not data:
         raise Graph6ParseError("empty graph6 input", 0)
     header = data[0]
-    if header == 126:
-        raise Graph6ParseError("multi-byte graph6 sizes (n > 62) not supported", 0)
-    if not (63 <= header <= 125):
+    if not (63 <= header <= 126):
         raise Graph6ParseError(f"header byte {header} outside graph6 range", 0)
-    n = header - 63
+    if header < 126:
+        n, start = header - 63, 1
+    else:
+        if data[1:2] == b"~":
+            raise Graph6ParseError(
+                f"eight-byte graph6 sizes (n > {GRAPH6_MAX_VERTICES}) not supported", 1)
+        if len(data) < 4:
+            raise Graph6ParseError("truncated graph6 size header", len(data))
+        n, start = 0, 4
+        for off in range(1, 4):
+            if not (63 <= data[off] <= 126):
+                raise Graph6ParseError(f"size byte {data[off]} outside graph6 range", off)
+            n = (n << 6) | (data[off] - 63)
     need_bits = n * (n - 1) // 2
     need_bytes = (need_bits + 5) // 6
-    if len(data) - 1 != need_bytes:
+    if len(data) - start != need_bytes:
         raise Graph6ParseError(
-            f"expected {need_bytes} payload bytes for n={n}, got {len(data) - 1}",
-            min(len(data), need_bytes + 1))
-    bits = 0
-    for off, byte in enumerate(data[1:], start=1):
-        if not (63 <= byte <= 126):
-            raise Graph6ParseError(f"payload byte {byte} outside graph6 range", off)
-        bits = (bits << 6) | (byte - 63)
-    pad = need_bytes * 6 - need_bits
-    if pad and bits & ((1 << pad) - 1):
+            f"expected {need_bytes} payload bytes for n={n}, got {len(data) - start}",
+            min(len(data), need_bytes + start))
+    payload = data[start:]
+    if payload.translate(None, _GRAPH6_BYTES):  # some byte is outside 63..126
+        off, byte = next((off, byte) for off, byte in enumerate(payload, start=start)
+                         if not 63 <= byte <= 126)
+        raise Graph6ParseError(f"payload byte {byte} outside graph6 range", off)
+    flags = payload.decode("ascii").translate(_SIX_BITS)
+    if "1" in flags[need_bits:]:
         raise Graph6ParseError("nonzero padding bits", len(data) - 1)
-    bits >>= pad
-    edges = []
-    for k, (i, j) in enumerate(_pairs(n)):
-        if (bits >> (need_bits - 1 - k)) & 1:
-            edges.append((i, j))
-    return Graph(n, edges)
+    return Graph(n, [pair for pair, flag in zip(_pairs(n), flags) if flag == "1"])
 
 
 def edge_list_str(g: Graph) -> str:

@@ -5,6 +5,12 @@ solution is read off a minimum vertex cover of the bipartite double cover
 (maximum matching + alternating-path argument).  The (V0, V1/2, V1) split
 drives both the 2k-vertex kernel and the preprocessing of the exact
 branching solver.
+
+Its value |V1| + |V1/2|/2 is also the branching's lower bound (Nemhauser
+and Trotter, 1975): a component is cut as soon as a matching of its double
+cover shows the LP value exceeds the cover size still allowed.  Every cover
+has at least that size, so the cut only ends calls that would have found no
+cover within the cap; covers and tie-breaks are the same as without it.
 """
 
 from __future__ import annotations
@@ -48,55 +54,64 @@ class KernelInstance:
 # ---------------------------------------------------------------------------
 # half-integral relaxation via the bipartite double cover
 
-def _double_cover_min_cover(g: Graph) -> tuple[set, set]:
-    """Minimum vertex cover of the bipartite double cover.
+def _augment(adj: tuple[int, ...], alive: int, mate: dict, u: int) -> bool:
+    """Grow `mate` by an alternating path from the unmatched left vertex u.
 
-    Left copy of v is v, right copy is indexed separately.  Returns
-    (left_cover, right_cover) as sets of original vertex labels.
+    The bipartite double cover of the subgraph the mask `alive` induces has
+    each vertex x on the left and its copy x' on the right, and x-y' for each
+    edge xy.  `mate` is a matching of it, right copy -> left vertex.  The
+    search is depth first, lowest neighbour first; True iff a path was found.
     """
-    match_right: dict[int, int] = {}   # right vertex -> matched left vertex
-    match_left: dict[int, int] = {}
+    visited = 0
 
-    def try_augment(u: int, visited: set) -> bool:
-        for w in sorted(g.adj[u]):
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match_right or try_augment(match_right[w], visited):
-                match_right[w] = u
-                match_left[u] = w
+    def search(x: int) -> bool:
+        nonlocal visited
+        while cand := adj[x] & alive & ~visited:
+            low = cand & -cand
+            visited |= low
+            w = low.bit_length() - 1
+            if w not in mate or search(mate[w]):
+                mate[w] = x
                 return True
         return False
 
-    for u in range(g.n):
-        try_augment(u, set())
+    return search(u)
 
-    # alternating reachability from unmatched left vertices
-    frontier = [u for u in range(g.n) if u not in match_left]
-    left_z = set(frontier)
-    right_z: set = set()
+
+def _double_cover_min_cover(g: Graph) -> tuple[int, int]:
+    """Minimum vertex cover of the bipartite double cover (König).
+
+    Returns (left_cover, right_cover) as vertex masks: a maximum matching,
+    then the left vertices not reachable by alternating paths from the
+    unmatched ones, and the right copies that are.  Those reachable sets are
+    the same for every maximum matching.
+    """
+    adj = g.adj_masks
+    alive = (1 << g.n) - 1
+    mate: dict[int, int] = {}
+    free = sum(1 << u for u in range(g.n) if not _augment(adj, alive, mate, u))
+    left_z = frontier = free
+    right_z = 0
     while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if w not in right_z:
-                    right_z.add(w)
-                    mu = match_right.get(w)
-                    if mu is not None and mu not in left_z:
-                        left_z.add(mu)
-                        nxt.append(mu)
-        frontier = nxt
-    left_cover = set(range(g.n)) - left_z
-    right_cover = right_z
-    return left_cover, right_cover
+        reach = 0
+        for u in _bits(frontier):
+            reach |= adj[u]
+        reach &= ~right_z
+        right_z |= reach
+        frontier = 0
+        for w in _bits(reach):
+            frontier |= 1 << mate[w]  # matched, or the matching was not maximum
+        frontier &= ~left_z
+        left_z |= frontier
+    return alive & ~left_z, right_z
 
 
 def lp_half_integral(g: Graph) -> tuple[frozenset, frozenset, frozenset]:
     """Optimal half-integral relaxation as (V0, Vhalf, V1)."""
     left, right = _double_cover_min_cover(g)
-    v1 = frozenset(left & right)
-    v0 = frozenset(v for v in range(g.n) if v not in left and v not in right)
-    vhalf = frozenset(v for v in range(g.n) if (v in left) != (v in right))
+    v1 = frozenset(_bits(left & right))
+    v0 = frozenset(_bits((1 << g.n) - 1 & ~(left | right)))
+    vhalf = frozenset(_bits(left ^ right))
     return v0, vhalf, v1
 
 
@@ -143,15 +158,55 @@ def _path_cycle_cover(adj: tuple[int, ...], comp: int) -> int:
     return sum(1 << v for v in picked)
 
 
+def _lp_exceeds(adj: tuple[int, ...], comp: int, mate: dict, free: int, cap: int) -> bool:
+    """True iff the half-integral LP value of the component mask comp exceeds cap.
+
+    That value is half the size of a maximum matching of comp's double cover
+    (see `_augment`).  `mate` is a matching of it whose unmatched left
+    vertices are the mask `free`; it is augmented from each of them in turn
+    until it passes 2*cap or the vertices still untried cannot get it there.
+    """
+    need = 2 * cap + 1 - len(mate)
+    untried = free.bit_count()
+    for u in _bits(free):
+        if need <= 0 or untried < need:
+            break
+        if _augment(adj, comp, mate, u):
+            need -= 1
+        untried -= 1
+    return need <= 0
+
+
 def _vc_component(adj: tuple[int, ...], comp: int, best_cap: int) -> int | None:
-    """Minimum cover of the component mask comp, or None if it must exceed best_cap."""
-    maxdeg, v = max(((adj[u] & comp).bit_count(), -u) for u in _bits(comp))
-    v = -v  # the smallest vertex of maximum degree
+    """Minimum cover of the component mask comp, or None if it must exceed best_cap.
+
+    One ascending pass over comp finds the smallest vertex of maximum degree
+    and a greedy maximal matching (each unmatched vertex takes its lowest
+    unmatched neighbour).  Each matched edge uw gives the double cover the
+    edges u-w' and w-u', which seed `_lp_exceeds`.  Components of max degree
+    <= 2 are solved in closed form; any other whose LP value exceeds
+    best_cap is cut before branching.
+    """
+    maxdeg = v = 0
+    taken = 0  # matched vertices
+    mate: dict[int, int] = {}
+    for u in _bits(comp):
+        nbrs = adj[u] & comp
+        deg = nbrs.bit_count()
+        if deg > maxdeg:
+            maxdeg, v = deg, u
+        if not taken >> u & 1 and (free := nbrs & ~taken):
+            w = (free & -free).bit_length() - 1
+            taken |= (1 << u) | (1 << w)
+            mate[u] = w
+            mate[w] = u
     if maxdeg == 0:
         return 0
     if maxdeg <= 2:
         sol = _path_cycle_cover(adj, comp)
         return sol if sol.bit_count() <= best_cap else None
+    if _lp_exceeds(adj, comp, mate, comp & ~taken, best_cap):
+        return None
     # branch: take v ...
     rest = comp & ~(1 << v)
     best = _vc_split(adj, rest, best_cap - 1)
@@ -188,6 +243,11 @@ def vc_exact(g: Graph) -> VcSolution:
     smallest label, components with max degree <= 2 are solved directly.
     The branching works on `g.adj_masks` with vertex sets as int masks, and
     splits each remaining subgraph into components with `components`.
+    Before branching on a component, its LP lower bound is compared with
+    the cover size still allowed, and the component is cut when the bound
+    exceeds it.  A lower bound cuts only branches that could not return a
+    cover within their cap, so the cover returned, ties included, is the
+    one the branching finds without the cut.
     """
     if g.n > VC_MAX_VERTICES:
         raise SizeLimitError(f"vc_exact supports up to {VC_MAX_VERTICES} vertices, got {g.n}")

@@ -208,12 +208,15 @@ class TestErrorHandling:
         assert err.startswith("error:") and "(byte 1)" in err
 
     def test_graph6_size_guard_at_the_boundary(self, capsys):
-        # 62 vertices fit the one-byte graph6 header; 63 need the "~" form
-        status, payload = run_json(capsys, "solve", "}" + "?" * 316)
-        assert status == 0 and payload["idf"] == 0
-        assert main(["solve", "~??~" + "?" * 326]) == 2
+        # 63 and 64 vertices (vc_exact's limit) take graph6's "~" size form
+        for text in ("~??~" + "?" * 326, "~?@?" + "?" * 336):
+            status, payload = run_json(capsys, "solve", text)
+            assert status == 0 and payload["idf"] == 0
+            assert payload["forest_graph6"] == text
+        # the eight-byte form, for more than 258047 vertices, is refused
+        assert main(["solve", "~~" + "?" * 6]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "(byte 0)" in err
+        assert err.startswith("error:") and "(byte 1)" in err
 
     def test_missing_file_like_argument_is_parsed_as_inline_text(self, capsys):
         assert main(["solve", "no-such-file.g6"]) == 2

@@ -7,7 +7,7 @@ import random
 import pytest
 from conftest import graphs_up_to, random_graph
 
-from idforest import (Graph, Graph6ParseError, SizeLimitError,
+from idforest import (GRAPH6_MAX_VERTICES, Graph, Graph6ParseError, SizeLimitError,
                       complete_graph, cycle_graph, disjoint_union,
                       edge_list_str, edge_list_to_graph, graph6_bytes,
                       graph6_str, graph6_to_graph)
@@ -33,7 +33,7 @@ class TestGraph6:
 
     def test_round_trip_on_random_graphs(self):
         rng = random.Random(53)
-        for n in (0, 1, 2, 7, 13, 30, 62):
+        for n in (0, 1, 2, 7, 13, 30, 62, 63, 64):
             g = random_graph(rng, n, 0.3)
             assert graph6_to_graph(graph6_bytes(g)) == g
 
@@ -46,13 +46,30 @@ class TestGraph6:
         assert graph6_to_graph(b"Bw\r\n") == complete_graph(3)
 
     def test_encoder_size_guard(self):
-        assert graph6_to_graph(graph6_str(cycle_graph(62))) == cycle_graph(62)
+        # up to 62 vertices the header is one byte; from 63 it is "~" and n
+        # in three six-bit bytes, up to GRAPH6_MAX_VERTICES = 258047
+        assert graph6_str(cycle_graph(62))[0] == "}"
+        assert graph6_str(cycle_graph(63))[:4] == "~??~"
+        assert graph6_str(cycle_graph(64))[:4] == "~?@?"
+        assert graph6_to_graph(graph6_str(cycle_graph(64))) == cycle_graph(64)
         with pytest.raises(SizeLimitError):
-            graph6_str(Graph(63))
+            graph6_str(Graph(GRAPH6_MAX_VERTICES + 1))
+
+    @pytest.mark.parametrize("header,n", [
+        ("~??~", 63),
+        ("~B?x", 12345),   # the worked example of the graph6 format notes
+        ("~}~~", 258047),  # GRAPH6_MAX_VERTICES, the largest four-byte size
+    ])
+    def test_four_byte_size_header_is_read(self, header, n):
+        # no payload follows, so the decoder reports the size it read
+        with pytest.raises(Graph6ParseError, match=f"for n={n}, got 0"):
+            graph6_to_graph(header)
 
     @pytest.mark.parametrize("text,offset", [
         ("", 0),       # nothing at all
-        ("~??", 0),    # multi-byte size prefix not supported
+        ("~~", 1),     # eight-byte size form (n > 258047) not supported
+        ("~??", 3),    # four-byte size header cut short
+        ("~?:?", 2),   # size byte below the graph6 range
         (" w", 0),     # header below the printable graph6 range
         ("B", 1),      # payload missing
         ("Bww", 2),    # payload too long

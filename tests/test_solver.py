@@ -8,7 +8,9 @@ import json
 import random
 
 import pytest
-from conftest import graphs_up_to, random_graph
+from conftest import graphs_up_to, random_graph, relabel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idforest import (Graph, VertexPartition, apex_bridgeless, bridges,
                       brute_vc, complete_graph, cycle_graph, disjoint_union,
@@ -72,6 +74,34 @@ class TestExactValue:
         assert set(payload) == {"idf", "partition", "forest_graph6"}
         assert payload["idf"] == 2
         assert payload["partition"] == [sorted(b) for b in cert.partition.blocks]
+
+
+@st.composite
+def graphs_up_to_64(draw) -> Graph:
+    """A seeded G(n, p) with n <= 64 and mean degree 1..6."""
+    n = draw(st.sampled_from(range(65)))
+    degree = draw(st.floats(1.0, 6.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return random_graph(random.Random(seed), n, min(1.0, degree / max(n - 1, 1)))
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(graphs_up_to_64(), st.data())
+    def test_value_is_invariant_under_relabeling(self, g, data):
+        perm = data.draw(st.permutations(range(g.n)))
+        assert idf_exact(relabel(g, perm)).value == idf_exact(g).value
+
+    @PROPERTY_SETTINGS
+    @given(graphs_up_to_64())
+    def test_certificate_replays(self, g):
+        cert = idf_exact(g)
+        forest, _ = identify_partition(g, cert.partition)
+        assert is_forest(forest) and forest == cert.forest
+        assert cert.partition.order == cert.value
 
 
 class TestDecision:

@@ -10,6 +10,7 @@ import random
 import pytest
 from conftest import brute_lp_value, graphs_up_to, random_graph
 
+from idforest import vc
 from idforest import (Graph, KernelInstance, SizeLimitError,
                       complete_bipartite_graph, complete_graph, cycle_graph,
                       disjoint_union, idf_exact, induced_subgraph,
@@ -161,26 +162,73 @@ class TestExactCover:
             vc_exact(Graph(65))
 
 
+def assert_matches_integer_program(rng: random.Random, sizes, p_low: float, p_high: float):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+    for n in sizes:
+        g = random_graph(rng, n, rng.uniform(p_low, p_high))
+        edges = sorted(g.edges)
+        rows = np.zeros((len(edges), n))
+        for i, (u, v) in enumerate(edges):
+            rows[i, u] = rows[i, v] = 1
+        res = scipy_optimize.milp(
+            np.ones(n), integrality=np.ones(n), bounds=scipy_optimize.Bounds(0, 1),
+            constraints=scipy_optimize.LinearConstraint(rows, lb=1))
+        assert res.success
+        sol = vc_exact(g)
+        assert sol.value == round(res.fun), f"n={n}"
+        assert sol.covers(g) and len(sol.cover) == sol.value
+
+
+class TestLowerBoundCut:
+    """`_vc_component` drops a component whose LP bound exceeds its cap
+    before it branches."""
+
+    # two triangles on the shared vertex 2: the greedy matching 0-1, 2-3
+    # leaves 4 free, one augmenting path makes the double cover's matching
+    # 5 edges, so the LP bound is 5/2 (vc = 3)
+    BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+    @staticmethod
+    def count_branches(monkeypatch) -> list:
+        calls = []
+        inner = vc._vc_split
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(vc, "_vc_split", counted)
+        return calls
+
+    @pytest.mark.parametrize("graph,cap", [
+        (complete_graph(4), 1),  # the greedy matching alone (2 edges) exceeds 1
+        (BOWTIE, 2),             # the greedy matching (2 edges) does not exceed 2
+    ])
+    def test_cut_without_branching(self, monkeypatch, graph, cap):
+        calls = self.count_branches(monkeypatch)
+        assert vc._vc_component(graph.adj_masks, (1 << graph.n) - 1, cap) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("graph,cap", [(complete_graph(4), 3), (BOWTIE, 3)])
+    def test_branches_when_the_bound_fits(self, monkeypatch, graph, cap):
+        calls = self.count_branches(monkeypatch)
+        cover = vc._vc_component(graph.adj_masks, (1 << graph.n) - 1, cap)
+        assert cover is not None and cover.bit_count() == 3
+        assert calls
+
+
 class TestExactCoverWhereTheBranchingRuns:
     """n = 20..64, past brute_vc's reach, where the branching does the work."""
 
     def test_matches_integer_program(self):
-        scipy_optimize = pytest.importorskip("scipy.optimize")
-        import numpy as np
-        rng = random.Random(64)
-        for n in (20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64):
-            g = random_graph(rng, n, rng.uniform(0.1, 0.15))
-            edges = sorted(g.edges)
-            rows = np.zeros((len(edges), n))
-            for i, (u, v) in enumerate(edges):
-                rows[i, u] = rows[i, v] = 1
-            res = scipy_optimize.milp(
-                np.ones(n), integrality=np.ones(n), bounds=scipy_optimize.Bounds(0, 1),
-                constraints=scipy_optimize.LinearConstraint(rows, lb=1))
-            assert res.success
-            sol = vc_exact(g)
-            assert sol.value == round(res.fun), f"n={n}"
-            assert sol.covers(g) and len(sol.cover) == sol.value
+        assert_matches_integer_program(
+            random.Random(64), (20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64), 0.1, 0.15)
+
+    def test_matches_integer_program_on_dense_graphs(self):
+        # where the LP bound cuts hardest; the integer program, not
+        # vc_exact, sets this test's run time
+        assert_matches_integer_program(random.Random(65), (20, 32, 44, 56, 64), 0.2, 0.3)
 
     def test_certificates_are_pinned(self):
         # sha256 of the idf_exact JSON lines, taken before the branching
