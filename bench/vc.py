@@ -2,9 +2,9 @@
 
 Compares two checkouts of the repository, the one holding this script
 ("change") and an older one ("parent"), in alternating pairs of fresh
-interpreters, and writes the result as JSON:
+interpreters (PAIRS of them), and writes the result as JSON:
 
-    python3 bench/vc.py PARENT_DIR [--pairs 5] [--out BENCH_vc.json]
+    python3 bench/vc.py PARENT_DIR [--out BENCH_vc.json]
 
 PARENT_DIR is any checkout with the package under `src/`.  For each point
 (n, p) and seed 0..4 a run times `vc_exact` on a freshly built graph (the
@@ -33,6 +33,7 @@ CHANGE_DIR = os.path.dirname(HERE)
 POINTS = ((40, 0.15), (64, 0.1), (64, 0.2))
 SEEDS = range(5)
 REPEATS = 3
+PAIRS = 5
 
 
 def _edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
@@ -100,14 +101,14 @@ def _summary(values: list[float]) -> dict:
             "runs": [round(v, 2) for v in values]}
 
 
-def compare(parent: str, pairs: int) -> dict:
+def compare(parent: str) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     sides = {"parent": parent, "change": CHANGE_DIR}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(_run(sides[side]))
-            print(f"pair {i + 1}/{pairs}: {side} done", file=sys.stderr)
+            print(f"pair {i + 1}/{PAIRS}: {side} done", file=sys.stderr)
     points = []
     for k, (n, p) in enumerate(POINTS):
         row: dict = {"n": n, "p": p, "seeds": list(SEEDS)}
@@ -116,14 +117,14 @@ def compare(parent: str, pairs: int) -> dict:
         row["nodes"] = {side: runs[side][0]["points"][k]["nodes"] for side in sides}
         row["vc_exact_ms"] = {side: _summary(per_run[side]) for side in sides}
         wins = sum(c < q for q, c in zip(per_run["parent"], per_run["change"]))
-        row["change_faster_pairs"] = f"{wins}/{pairs}"
+        row["change_faster_pairs"] = f"{wins}/{PAIRS}"
         points.append(row)
     return {
         "bench": "vc_exact on G(n, p): median over seeds of the best of "
                  f"{REPEATS} calls, branch nodes = _vc_component calls",
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
-        "pairs": pairs,
+        "pairs": PAIRS,
         "src_lines": {side: _src_lines(d) for side, d in sides.items()},
         "points": points,
     }
@@ -132,7 +133,6 @@ def compare(parent: str, pairs: int) -> dict:
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", nargs="?", help="checkout to compare against")
-    ap.add_argument("--pairs", type=int, default=5, help="parent/change pairs (default 5)")
     ap.add_argument("--out", default=os.path.join(CHANGE_DIR, "BENCH_vc.json"),
                     help="output file (default BENCH_vc.json at the repository root)")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -142,7 +142,7 @@ def main(argv: list[str] | None = None) -> None:
         return
     if args.parent is None:
         ap.error("a parent checkout is required")
-    result = compare(os.path.abspath(args.parent), args.pairs)
+    result = compare(os.path.abspath(args.parent))
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(result, f, indent=2)
         f.write("\n")

@@ -12,7 +12,7 @@ are twins of an already-explored choice (the swap is an automorphism).
 from __future__ import annotations
 
 from .errors import SizeLimitError
-from .graph import Graph
+from .graph import Graph, _relabel
 
 CANON_MAX_VERTICES = 12
 
@@ -129,7 +129,7 @@ def canonical_graph(g: Graph) -> Graph:
     if g.n == 0:
         return g
     _, perm = _search(g.n, g.adj_masks)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return _relabel(g, perm)
 
 
 def canonical_form(g: Graph) -> bytes:

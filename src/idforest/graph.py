@@ -9,8 +9,9 @@ translate witnesses back.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotPresentError
 
@@ -23,45 +24,87 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+_CAST = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned types of 1, 2, 4, 8 bytes
+
+
+def _row_size(n: int) -> int:
+    """Bytes per matrix row: ceil(n/8), rounded up to 1, 2, 4 or 8 when
+    n <= 64 so the rows unpack as one typed memoryview."""
+    size = (n + 7) >> 3
+    return size if size > 8 else 1 << (size - 1).bit_length()
+
+
+def _pack(rows: Sequence[int]) -> bytes:
+    """Adjacency rows as one packed matrix in native byte order, trailing
+    all-zero rows dropped (so a graph without edges costs nothing)."""
+    size = _row_size(len(rows))
+    last = len(rows)
+    while last and not rows[last - 1]:
+        last -= 1
+    return b"".join(rows[v].to_bytes(size, sys.byteorder) for v in range(last))
+
+
 class Graph:
-    """An immutable simple undirected graph."""
+    """An immutable simple undirected graph.
+
+    A graph holds only n and its adjacency matrix packed into one bytes
+    object, a fixed number of bytes a row (`_row_size`), bit w of row v set
+    iff vw is an edge: at most 512 bytes at 64 vertices, so a caller can
+    keep many graphs.
+    `adj_masks` unpacks the rows on every access, so hoist it out of loops;
+    the set views `edges` and `adj` are built on first use and cached.
+    """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        es = set()
+        rows = [0] * n
         for u, v in edges:
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise NotPresentError(f"edge ({u}, {v}) leaves vertex range 0..{n - 1}")
-            es.add(_norm_edge(u, v))
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(es)
+        self._matrix = _pack(rows)
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[int]) -> Graph:
+        """The graph whose adjacency masks are `rows`, which must be
+        symmetric and loop-free; unchecked."""
+        g = cls.__new__(cls)
+        g.n = len(rows)
+        g._matrix = _pack(rows)
+        return g
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int.from_bytes(self._matrix, "little").bit_count() // 2
 
     @property
     def vertices(self) -> range:
         return range(self.n)
 
-    @cached_property
-    def adj(self) -> tuple[frozenset, ...]:
-        nbrs = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+    @property
+    def adj_masks(self) -> tuple[int, ...]:
+        size = _row_size(self.n)
+        matrix = self._matrix
+        if size in _CAST:
+            rows = tuple(memoryview(matrix).cast(_CAST[size]))
+        else:
+            rows = tuple(int.from_bytes(matrix[i:i + size], sys.byteorder)
+                         for i in range(0, len(matrix), size))
+        return rows + (0,) * (self.n - len(rows))
 
     @cached_property
-    def adj_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def edges(self) -> EdgeSet:
+        return frozenset((u, v) for u, row in enumerate(self.adj_masks)
+                         for v in _bits(row >> u + 1 << u + 1))
+
+    @cached_property
+    def adj(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(_bits(row)) for row in self.adj_masks)
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
@@ -79,7 +122,7 @@ class Graph:
             raise NotPresentError(f"vertex {v} not in graph on {self.n} vertices")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Graph) and self.n == other.n and self._matrix == other._matrix
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -122,10 +165,13 @@ def disjoint_union(*graphs: Graph) -> Graph:
 
 def with_new_vertex(g: Graph, neighbors: Iterable[int]) -> Graph:
     """Append vertex g.n adjacent to `neighbors`."""
-    nbrs = list(neighbors)
-    for v in nbrs:
+    rows = list(g.adj_masks)
+    new = 0
+    for v in neighbors:
         g._check_vertex(v)
-    return Graph(g.n + 1, list(g.edges) + [(v, g.n) for v in nbrs])
+        rows[v] |= 1 << g.n
+        new |= 1 << v
+    return Graph._from_rows(rows + [new])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -137,9 +183,24 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     keep = sorted(set(vertices))
     for v in keep:
         g._check_vertex(v)
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
-    return Graph(len(keep), edges), tuple(keep)
+    adj = g.adj_masks
+    kept = sum(1 << v for v in keep)
+    index = {v: 1 << i for i, v in enumerate(keep)}
+    rows = [sum(index[w] for w in _bits(adj[v] & kept)) for v in keep]
+    return Graph._from_rows(rows), tuple(keep)
+
+
+def _relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """g with each vertex v renamed perm[v]; perm is a permutation."""
+    rows = [0] * g.n
+    for v, row in enumerate(g.adj_masks):
+        image = 0
+        while row:
+            low = row & -row
+            image |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        rows[perm[v]] = image
+    return Graph._from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +246,7 @@ def is_forest(g: Graph) -> bool:
     return g.m == g.n - len(components(g.adj_masks, (1 << g.n) - 1))
 
 
-def _low_link(g: Graph) -> tuple[EdgeSet, frozenset]:
+def _low_link(adj: Sequence[int]) -> tuple[EdgeSet, frozenset]:
     """Bridges and cut vertices from one low-link DFS pass per component
     (Hopcroft and Tarjan, 1973).
 
@@ -193,19 +254,20 @@ def _low_link(g: Graph) -> tuple[EdgeSet, frozenset]:
     vertex iff some child u has low[u] >= disc[p], a root iff it has two or
     more children.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
     bridge_set: set = set()
     cut: set = set()
     counter = 0
-    for root in range(g.n):
+    for root in range(n):
         if disc[root] != -1:
             continue
         # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(g.adj_masks[root]))]
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(adj[root]))]
         while stack:
             u, parent, it = stack[-1]
             for w in it:
@@ -214,7 +276,7 @@ def _low_link(g: Graph) -> tuple[EdgeSet, frozenset]:
                 if disc[w] == -1:
                     disc[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, u, _bits(g.adj_masks[w])))
+                    stack.append((w, u, _bits(adj[w])))
                     break
                 low[u] = min(low[u], disc[w])
             else:
@@ -235,13 +297,16 @@ def _low_link(g: Graph) -> tuple[EdgeSet, frozenset]:
 
 def bridges(g: Graph) -> EdgeSet:
     """All bridges, read off the shared low-link pass."""
-    return _low_link(g)[0]
+    return _low_link(g.adj_masks)[0]
 
 
 def remove_bridges(g: Graph) -> Graph:
     """The bridgeless core: same vertex set, bridges deleted."""
-    b = bridges(g)
-    return Graph(g.n, g.edges - b)
+    rows = list(g.adj_masks)
+    for u, v in _low_link(rows)[0]:
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+    return Graph._from_rows(rows)
 
 
 def cut_vertices(g: Graph) -> frozenset:
@@ -251,7 +316,7 @@ def cut_vertices(g: Graph) -> frozenset:
     `adj_masks` bitmask rows: a non-root is a cut vertex when some DFS child
     cannot reach above it, the DFS root when it has two or more children.
     """
-    return _low_link(g)[1]
+    return _low_link(g.adj_masks)[1]
 
 
 def is_2_connected(g: Graph) -> bool:
@@ -269,11 +334,9 @@ def is_2_connected(g: Graph) -> bool:
 def delete_vertex(g: Graph, v: int) -> Graph:
     """Delete v; vertices above v shift down by one (order preserving)."""
     g._check_vertex(v)
-
-    def remap(x: int) -> int:
-        return x if x < v else x - 1
-
-    return Graph(g.n - 1, [(remap(u), remap(w)) for u, w in g.edges if v not in (u, w)])
+    low = (1 << v) - 1
+    rows = [row & low | row >> v + 1 << v for u, row in enumerate(g.adj_masks) if u != v]
+    return Graph._from_rows(rows)
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:

@@ -36,10 +36,11 @@ def graph6_bytes(g: Graph) -> bytes:
         out = [g.n + 63]
     else:  # "~", then n in three six-bit bytes
         out = [126, (g.n >> 12) + 63, (g.n >> 6 & 63) + 63, (g.n & 63) + 63]
+    adj = g.adj_masks
     acc = 0
     nbits = 0
     for i, j in _pairs(g.n):
-        acc = (acc << 1) | (1 if (i, j) in g.edges else 0)
+        acc = (acc << 1) | (adj[j] >> i & 1)
         nbits += 1
         if nbits == 6:
             out.append(acc + 63)

@@ -12,17 +12,20 @@ minimum original vertex.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator
 
 from .errors import InvalidBlockError
-from .graph import Graph, is_forest
+from .graph import Graph, _bits, is_forest
 
 
 class VertexPartition:
-    """Disjoint non-empty blocks of vertices.  Blocks are frozensets, stored
-    sorted by minimum element; the partition's order is the number of
-    vertices it touches."""
+    """Disjoint non-empty blocks of vertices.  Blocks are frozensets, ordered
+    by minimum element; the partition's order is the number of vertices it
+    touches.  Each block is stored as a sorted tuple, and the frozensets are
+    built on first use."""
 
     def __init__(self, blocks: Iterable[Iterable[int]] = ()):
         bs = []
@@ -35,33 +38,34 @@ class VertexPartition:
                 raise InvalidBlockError(
                     f"blocks overlap on {sorted(block & seen)}")
             seen |= block
-            bs.append(block)
-        self.blocks = tuple(sorted(bs, key=min))
+            bs.append(tuple(sorted(block)))
+        self._sorted = tuple(sorted(bs))  # disjoint, so ordered by minimum
+
+    @cached_property
+    def blocks(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(b) for b in self._sorted)
 
     @property
     def order(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return sum(len(b) for b in self._sorted)
 
     def support(self) -> frozenset:
-        out: frozenset = frozenset()
-        for b in self.blocks:
-            out |= b
-        return out
+        return frozenset().union(*self._sorted)
 
     def __iter__(self) -> Iterator[frozenset]:
         return iter(self.blocks)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self._sorted)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VertexPartition) and self.blocks == other.blocks
+        return isinstance(other, VertexPartition) and self._sorted == other._sorted
 
     def __hash__(self) -> int:
         return hash(self.blocks)
 
     def __repr__(self) -> str:
-        return f"VertexPartition({[sorted(b) for b in self.blocks]})"
+        return f"VertexPartition({[list(b) for b in self._sorted]})"
 
 
 def normalize_partition(p: VertexPartition | Iterable[Iterable[int]]) -> VertexPartition:
@@ -86,26 +90,52 @@ class HeirMap:
         return self.untouched[v]
 
 
+class _Ranks(Mapping):
+    """The vertices of a mask, each mapped to its rank among them."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, mask: int):
+        self.mask = mask
+
+    def __getitem__(self, v: int) -> int:
+        if not (isinstance(v, int) and v >= 0 and self.mask >> v & 1):
+            raise KeyError(v)
+        return (self.mask & ((1 << v) - 1)).bit_count()
+
+    def __iter__(self) -> Iterator[int]:
+        return _bits(self.mask)
+
+    def __len__(self) -> int:
+        return self.mask.bit_count()
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, HeirMap]:
     """Identify every block of p in g, simultaneously."""
-    support = p.support()
-    for v in support:
-        if not (0 <= v < g.n):
-            raise InvalidBlockError(f"block vertex {v} not in graph on {g.n} vertices")
-    untouched = [v for v in range(g.n) if v not in support]
-    image = {v: i for i, v in enumerate(untouched)}
-    t = len(untouched)
-    heirs = tuple(range(t, t + len(p.blocks)))
-    for i, block in enumerate(p.blocks):
+    image = list(range(g.n))
+    support = 0
+    for block in p._sorted:
         for v in block:
-            image[v] = t + i
-    edges = set()
-    for u, v in g.edges:
-        nu, nv = image[u], image[v]
-        if nu != nv:
-            edges.add((nu, nv))
-    h = Graph(t + len(p.blocks), edges)
-    return h, HeirMap(untouched={v: image[v] for v in untouched}, heirs=heirs)
+            if not (0 <= v < g.n):
+                raise InvalidBlockError(f"block vertex {v} not in graph on {g.n} vertices")
+            support |= 1 << v
+    untouched = ((1 << g.n) - 1) & ~support
+    for i, v in enumerate(_bits(untouched)):
+        image[v] = i
+    t = untouched.bit_count()
+    heirs = tuple(range(t, t + len(p._sorted)))
+    for heir, block in zip(heirs, p._sorted):
+        for v in block:
+            image[v] = heir
+    rows = [0] * (t + len(heirs))
+    for u, row in enumerate(g.adj_masks):
+        for v in _bits(row):
+            if image[u] != image[v]:
+                rows[image[u]] |= 1 << image[v]
+    return Graph._from_rows(rows), HeirMap(untouched=_Ranks(untouched), heirs=heirs)
 
 
 def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:

@@ -33,7 +33,7 @@ from itertools import combinations, islice
 
 from .canon import canonical_form, canonical_labeling
 from .errors import SizeLimitError
-from .graph import (Graph, bridges, connected_components, contract_edge,
+from .graph import (Graph, _relabel, bridges, connected_components, contract_edge,
                     delete_edge, delete_vertex, disjoint_union,
                     induced_subgraph, is_2_connected, with_new_vertex)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
@@ -79,7 +79,7 @@ def _augmented_children(parent: Graph) -> list[Graph]:
             continue
         child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
         perm = canonical_labeling(child)
-        rep = Graph(n + 1, [(perm[u], perm[v]) for u, v in child.edges])
+        rep = _relabel(child, perm)
         code = graph6_bytes(rep)
         if code in kept or code in rejected:
             continue

@@ -46,8 +46,10 @@ def partition_from_cover(g: Graph, cover: Iterable[int]) -> VertexPartition:
     covers every edge, so the quotient is a star, and blocks never span a
     bridge, so re-adding bridges cannot close a cycle.
     """
-    cover = frozenset(cover)
-    core = remove_bridges(g)
+    return _split_cover(remove_bridges(g), frozenset(cover))
+
+
+def _split_cover(core: Graph, cover: frozenset) -> VertexPartition:
     blocks = []
     for comp in connected_components(core):
         block = cover & comp
@@ -60,7 +62,7 @@ def idf_exact(g: Graph) -> IdfCertificate:
     """Minimum identification order with a witness partition."""
     core = remove_bridges(g)
     sol = vc_exact(core)
-    partition = partition_from_cover(g, sol.cover)
+    partition = _split_cover(core, sol.cover)
     forest, heirs = identify_partition(g, partition)
     return IdfCertificate(value=sol.value, partition=partition, forest=forest, heirs=heirs)
 
