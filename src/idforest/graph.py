@@ -10,6 +10,7 @@ translate witnesses back.
 from __future__ import annotations
 
 import sys
+from array import array
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -24,13 +25,14 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-_CAST = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned types of 1, 2, 4, 8 bytes
+# row size in bytes -> unsigned array type of that size (1, 2, 4, 8 bytes)
+_CAST = {array(code).itemsize: code for code in "QIHB"}
 
 
 def _row_size(n: int) -> int:
     """Bytes per matrix row: ceil(n/8), rounded up to 1, 2, 4 or 8 when
-    n <= 64 so the rows unpack as one typed memoryview."""
-    size = (n + 7) >> 3
+    n <= 64 so the rows pack and unpack as one typed array."""
+    size = max((n + 7) >> 3, 1)
     return size if size > 8 else 1 << (size - 1).bit_length()
 
 
@@ -41,6 +43,8 @@ def _pack(rows: Sequence[int]) -> bytes:
     last = len(rows)
     while last and not rows[last - 1]:
         last -= 1
+    if size in _CAST:
+        return array(_CAST[size], rows[:last]).tobytes()
     return b"".join(rows[v].to_bytes(size, sys.byteorder) for v in range(last))
 
 
@@ -50,9 +54,9 @@ class Graph:
     A graph holds only n and its adjacency matrix packed into one bytes
     object, a fixed number of bytes a row (`_row_size`), bit w of row v set
     iff vw is an edge: at most 512 bytes at 64 vertices, so a caller can
-    keep many graphs.
-    `adj_masks` unpacks the rows on every access, so hoist it out of loops;
-    the set views `edges` and `adj` are built on first use and cached.
+    keep many graphs.  `adj_masks` unpacks the rows on every access, so
+    hoist it out of loops; the set views `edges` and `adj` are built on
+    first use and cached.
     """
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
@@ -80,7 +84,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return int.from_bytes(self._matrix, "little").bit_count() // 2
+        return int.from_bytes(self._matrix, sys.byteorder).bit_count() // 2
 
     @property
     def vertices(self) -> range:

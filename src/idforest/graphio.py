@@ -56,7 +56,11 @@ def graph6_str(g: Graph) -> str:
 
 def graph6_to_graph(data: bytes | str) -> Graph:
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:  # every earlier character is one byte
+            raise Graph6ParseError(
+                f"character {data[exc.start]!r} outside graph6 range", exc.start) from None
     data = data.rstrip(b"\r\n")
     if not data:
         raise Graph6ParseError("empty graph6 input", 0)

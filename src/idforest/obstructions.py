@@ -33,8 +33,8 @@ from itertools import combinations, islice
 
 from .canon import canonical_form, canonical_labeling
 from .errors import SizeLimitError
-from .graph import (Graph, _relabel, bridges, connected_components, contract_edge,
-                    delete_edge, delete_vertex, disjoint_union,
+from .graph import (Graph, _relabel, bridges, connected_components,
+                    contract_edge, delete_edge, delete_vertex, disjoint_union,
                     induced_subgraph, is_2_connected, with_new_vertex)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .minors import gen_cycle, gen_marguerite, gen_triangles

@@ -218,6 +218,11 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "(byte 1)" in err
 
+    def test_non_ascii_graph6_is_refused(self, capsys):
+        assert main(["solve", "B\u00e9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(byte 1)" in err
+
     def test_missing_file_like_argument_is_parsed_as_inline_text(self, capsys):
         assert main(["solve", "no-such-file.g6"]) == 2
         assert "error:" in capsys.readouterr().err

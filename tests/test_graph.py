@@ -9,6 +9,7 @@ import random
 import pytest
 from conftest import random_graph
 
+from idforest import graph
 from idforest import (Graph, NotPresentError, bridges, complete_bipartite_graph,
                       complete_graph, connected_components, contract_edge,
                       cut_vertices, cycle_graph, delete_edge, delete_vertex,
@@ -62,6 +63,56 @@ class TestConstruction:
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
+
+
+class TestPackedMatrix:
+    """A graph is stored as its packed adjacency matrix, a fixed number of
+    bytes a row; every view and every builder that works on rows must agree
+    with the edge list the graph came from."""
+
+    SIZES = [0, 1, 7, 8, 9, 16, 17, 31, 33, 64, 65, 70]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_views_match_the_edge_list(self, n):
+        rng = random.Random(n)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2]
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        g = Graph(n, edges)
+        assert g.adj_masks == tuple(rows)
+        assert g.edges == frozenset(edges) and g.m == len(edges)
+        assert g.adj == tuple(frozenset(w for w in range(n) if rows[v] >> w & 1)
+                              for v in range(n))
+        h = Graph(n, [(v, u) for u, v in reversed(edges)])
+        assert h == g and hash(h) == hash(g)
+        assert Graph._from_rows(rows) == g
+
+    @pytest.mark.parametrize("n", [v for v in SIZES if v])
+    def test_row_builders_match_edge_definitions(self, n):
+        rng = random.Random(1000 + n)
+        g = random_graph(rng, n, 0.15)
+        v = rng.randrange(n)
+        assert delete_vertex(g, v) == Graph(
+            n - 1, [(a - (a > v), b - (b > v)) for a, b in g.edges if v not in (a, b)])
+        nbrs = rng.sample(range(n), rng.randint(0, n))
+        assert with_new_vertex(g, nbrs) == Graph(n + 1, list(g.edges) + [(w, n) for w in nbrs])
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        index = {w: i for i, w in enumerate(keep)}
+        assert induced_subgraph(g, keep)[0] == Graph(
+            len(keep), [(index[a], index[b]) for a, b in g.edges if a in index and b in index])
+        perm = rng.sample(range(n), n)
+        assert graph._relabel(g, perm) == Graph(n, [(perm[a], perm[b]) for a, b in g.edges])
+        assert remove_bridges(g) == Graph(n, g.edges - bridges(g))
+
+    def test_trailing_isolated_vertices_take_no_storage(self):
+        # trailing all-zero rows are dropped, so a large graph without
+        # edges costs nothing and equality still compares like with like
+        assert Graph(2**14)._matrix == b""
+        g = Graph(2**14, [(0, 1)])
+        assert len(g._matrix) == 2 * graph._row_size(2**14) and g.m == 1
+        assert Graph(70, [(0, 1)]) == Graph._from_rows([2, 1] + [0] * 68)
 
 
 class TestBuilders:

@@ -75,6 +75,7 @@ class TestGraph6:
         ("Bww", 2),    # payload too long
         ("B:", 1),     # payload byte below the graph6 range
         ("Bz", 1),     # nonzero padding bits
+        ("B\u00e9", 1),  # non-ASCII character in str input
     ])
     def test_parse_errors_carry_byte_offset(self, text, offset):
         with pytest.raises(Graph6ParseError) as err:

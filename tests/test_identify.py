@@ -81,6 +81,17 @@ class TestIdentifyPartition:
         assert hm.heirs == (1, 2)
         assert h.n == 3
 
+    def test_untouched_vertices_map_to_their_rank(self):
+        p = VertexPartition([[1, 5], [2, 7]])
+        _, hm = identify_partition(path_graph(8), p)
+        assert hm.untouched == {0: 0, 3: 1, 4: 2, 6: 3}
+        assert list(hm.untouched) == [0, 3, 4, 6] and len(hm.untouched) == 4
+        assert 5 not in hm.untouched and hm.untouched.get(8) is None
+        with pytest.raises(KeyError):
+            hm.untouched[7]
+        assert hm == HeirMap({0: 0, 3: 1, 4: 2, 6: 3}, (4, 5))
+        assert [hm.image(p, v) for v in range(8)] == [0, 4, 5, 1, 2, 4, 3, 5]
+
     def test_adjacent_two_block_matches_edge_contraction(self):
         for g in graphs_up_to(5):
             for e in sorted(g.edges):

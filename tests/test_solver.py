@@ -4,8 +4,11 @@ the 2k+1 kernel pipeline."""
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from conftest import graphs_up_to, random_graph, relabel
@@ -102,6 +105,27 @@ class TestProperties:
         forest, _ = identify_partition(g, cert.partition)
         assert is_forest(forest) and forest == cert.forest
         assert cert.partition.order == cert.value
+
+
+class TestKeptResults:
+    def test_kept_inputs_and_certificates_stay_small(self):
+        # The solver reads only adjacency rows, so a caller that keeps every
+        # input graph and certificate pays for the packed matrices and the
+        # partition, not for edge or neighbour sets (about 23 KB per
+        # 64-vertex graph and certificate when those were kept).
+        rng = random.Random(7)
+        edge_lists = [[e for e in itertools.combinations(range(64), 2) if rng.random() < 0.06]
+                      for _ in range(6)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [(g, idf_exact(g)) for g in (Graph(64, e) for e in edge_lists)]
+            gc.collect()
+            per_result = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_result < 4096
 
 
 class TestDecision:
