@@ -32,8 +32,8 @@ _CAST = {array(code).itemsize: code for code in "QIHB"}
 def _row_size(n: int) -> int:
     """Bytes per matrix row: ceil(n/8), rounded up to 1, 2, 4 or 8 when
     n <= 64 so the rows pack and unpack as one typed array."""
-    size = max((n + 7) >> 3, 1)
-    return size if size > 8 else 1 << (size - 1).bit_length()
+    size = (n + 7) >> 3
+    return size if size > 8 else (1, 1, 2, 4, 4, 8, 8, 8, 8)[size]
 
 
 def _pack(rows: Sequence[int]) -> bytes:
@@ -188,9 +188,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in keep:
         g._check_vertex(v)
     adj = g.adj_masks
-    kept = sum(1 << v for v in keep)
-    index = {v: 1 << i for i, v in enumerate(keep)}
-    rows = [sum(index[w] for w in _bits(adj[v] & kept)) for v in keep]
+    rows = [adj[v] for v in keep]
+    dropped = set(range(g.n)).difference(keep)
+    for v in sorted(dropped, reverse=True):  # as delete_vertex, highest first
+        low = (1 << v) - 1
+        rows = [row & low | row >> v + 1 << v for row in rows]
     return Graph._from_rows(rows), tuple(keep)
 
 

@@ -109,11 +109,12 @@ def circumference(g: Graph) -> int:
     return len(longest_cycle(g))
 
 
-def _shortest_cycle(g: Graph, alive: int) -> list[int]:
-    """A shortest cycle of g[alive] (vertices listed in order), or []."""
+def _shortest_cycle(adj: tuple[int, ...], edges: list[tuple[int, int]], alive: int) -> list[int]:
+    """A shortest cycle of the subgraph that `alive` induces in the graph
+    with adjacency masks `adj` and sorted edge list `edges` (vertices
+    listed in order), or []."""
     best: list[int] = []
-    adj = g.adj_masks
-    for u, v in sorted(g.edges):
+    for u, v in edges:
         if not ((alive >> u) & 1 and (alive >> v) & 1):
             continue
         # BFS u -> v avoiding the edge uv
@@ -159,6 +160,7 @@ def cycle_packing(g: Graph) -> list[list[int]]:
     """
     _check_cycle_scale(g, "cycle_packing")
     adj = g.adj_masks
+    edges = sorted(g.edges)
     memo: dict[int, list[list[int]]] = {}
 
     def chordless_through(v: int, alive: int) -> list[list[int]]:
@@ -190,7 +192,7 @@ def cycle_packing(g: Graph) -> list[list[int]]:
     def solve(alive: int) -> list[list[int]]:
         if alive in memo:
             return memo[alive]
-        sc = _shortest_cycle(g, alive)
+        sc = _shortest_cycle(adj, edges, alive)
         if not sc:
             memo[alive] = []
             return []
@@ -276,12 +278,14 @@ def _triangles_model(cycles: list[list[int]], k: int) -> MinorModel:
 def exact_fvs(g: Graph) -> frozenset:
     """A minimum feedback vertex set, by branching on shortest cycles."""
     _check_cycle_scale(g, "exact_fvs")
+    adj = g.adj_masks
+    edges = sorted(g.edges)
     memo: dict[int, frozenset] = {}
 
     def solve(alive: int) -> frozenset:
         if alive in memo:
             return memo[alive]
-        sc = _shortest_cycle(g, alive)
+        sc = _shortest_cycle(adj, edges, alive)
         if not sc:
             memo[alive] = frozenset()
             return memo[alive]

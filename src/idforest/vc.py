@@ -128,7 +128,7 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
     _, vhalf, v1 = lp_half_integral(g)
     budget = k - len(v1)
     sub, origin = induced_subgraph(g, vhalf)
-    keep = [v for v in range(sub.n) if sub.degree(v) > 0]
+    keep = [v for v, row in enumerate(sub.adj_masks) if row]
     sub, origin2 = induced_subgraph(sub, keep)
     origin = tuple(origin[v] for v in origin2)
     if budget < 0 or sub.n > 2 * budget:
