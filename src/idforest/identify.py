@@ -115,7 +115,7 @@ class _Ranks(Mapping):
 
 def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, HeirMap]:
     """Identify every block of p in g, simultaneously."""
-    image = list(range(g.n))
+    image = [0] * g.n
     support = 0
     for block in p._sorted:
         for v in block:
