@@ -29,7 +29,7 @@ from .minors import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX,
                      DichotomyOutcome, circumference, cycle_packing,
                      dichotomy, exact_fvs, gen_antichain_h, gen_cycle,
                      gen_marguerite, gen_triangles, longest_cycle,
-                     max_cycle_packing, max_marguerite)
+                     marguerite_model, max_cycle_packing, max_marguerite)
 from .obstructions import (ENUMERATION_MAX_VERTICES, CheckResult,
                            FamilyClaim, ObstructionReport,
                            enumerate_graphs, family_obstruction_report,
@@ -71,7 +71,7 @@ __all__ = [
     "brute_idf", "brute_vc", "brute_ecf", "brute_minor",
     "gen_cycle", "gen_triangles", "gen_marguerite", "gen_antichain_h",
     "longest_cycle", "circumference", "cycle_packing", "max_cycle_packing",
-    "max_marguerite", "exact_fvs", "dichotomy",
+    "marguerite_model", "max_marguerite", "exact_fvs", "dichotomy",
     "enumerate_graphs", "one_step_minors", "is_minor_minimal", "obs_vc",
     "obs_idf", "verify_section4", "family_obstruction_report",
     "write_catalog",

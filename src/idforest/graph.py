@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotPresentError
@@ -56,8 +55,10 @@ class Graph:
     iff vw is an edge: at most 512 bytes at 64 vertices, so a caller can
     keep many graphs.  `adj_masks` unpacks the rows on every access, so
     hoist it out of loops; the set views `edges` and `adj` are built on
-    first use and cached.
+    first use and cached in their slots.
     """
+
+    __slots__ = ("n", "_matrix", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -72,6 +73,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self._matrix = _pack(rows)
+        self._edges = self._adj = None
 
     @classmethod
     def _from_rows(cls, rows: Sequence[int]) -> Graph:
@@ -80,6 +82,7 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(rows)
         g._matrix = _pack(rows)
+        g._edges = g._adj = None
         return g
 
     @property
@@ -101,14 +104,17 @@ class Graph:
                          for i in range(0, len(matrix), size))
         return rows + (0,) * (self.n - len(rows))
 
-    @cached_property
+    @property
     def edges(self) -> EdgeSet:
-        return frozenset((u, v) for u, row in enumerate(self.adj_masks)
-                         for v in _bits(row >> u + 1 << u + 1))
+        if self._edges is None:
+            self._edges = frozenset(_edge_list(self.adj_masks))
+        return self._edges
 
-    @cached_property
+    @property
     def adj(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(_bits(row)) for row in self.adj_masks)
+        if self._adj is None:
+            self._adj = tuple(frozenset(_bits(row)) for row in self.adj_masks)
+        return self._adj
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
@@ -218,6 +224,12 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _edge_list(adj_masks: Sequence[int]) -> list[Edge]:
+    """The edges (u, v), u < v, of the graph with these adjacency rows, in
+    sorted order."""
+    return [(u, v) for u, row in enumerate(adj_masks) for v in _bits(row >> u + 1 << u + 1)]
 
 
 def components(adj_masks: tuple[int, ...], alive: int) -> list[int]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InvalidBlockError
@@ -26,6 +25,8 @@ class VertexPartition:
     by minimum element; the partition's order is the number of vertices it
     touches.  Each block is stored as a sorted tuple, and the frozensets are
     built on first use."""
+
+    __slots__ = ("_sorted", "_blocks")
 
     def __init__(self, blocks: Iterable[Iterable[int]] = ()):
         bs = []
@@ -40,10 +41,13 @@ class VertexPartition:
             seen |= block
             bs.append(tuple(sorted(block)))
         self._sorted = tuple(sorted(bs))  # disjoint, so ordered by minimum
+        self._blocks = None
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(b) for b in self._sorted)
+        if self._blocks is None:
+            self._blocks = tuple(frozenset(b) for b in self._sorted)
+        return self._blocks
 
     @property
     def order(self) -> int:

@@ -5,24 +5,33 @@ Families: cycles C_n; disjoint triangles m*K3 ("triangles"); marguerites,
 m triangles sharing one hub vertex; and the antichain graphs H_k, a cycle on
 3k vertices with three apex vertices hitting every third cycle vertex.
 
+The marguerite search places branch sets in the order of
+`oracle.brute_minor`, its slow twin, and returns the same model.  It skips
+every hub, and every partial model, whose leftover graph cannot hold the
+petals still needed: a packing test for paths between the hub's contacts
+(T. Gallai's T-paths, 1964).
+
 The dichotomy either exhibits one of the three families as a minor at
 parameter k (with an explicit branch-set model) or, when all three detectors
 come up short, builds an identification set from an exact feedback vertex
 set plus the skeleton connecting it, padded to a cover of the bridgeless
-core so the result is unconditionally valid.
+core so the result is unconditionally valid.  It reads only adjacency
+rows, and a witness packs its branch sets into one int.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, components, cycle_graph, disjoint_union,
-                    induced_subgraph, remove_bridges)
+from .graph import (Graph, _bits, _edge_list, components, cycle_graph,
+                    disjoint_union, induced_subgraph, remove_bridges)
 from .identify import VertexPartition
-from .oracle import MinorModel, brute_minor
-from .solver import partition_from_cover
+from .oracle import MinorModel, _connected_subsets, _mask_neighbors
+from .solver import _split_cover
 from .vc import vc_exact
 
 CYCLE_SEARCH_MAX = 16
@@ -63,6 +72,16 @@ def gen_antichain_h(k: int) -> Graph:
             if j % 3 == i % 3:
                 edges.append((apex, j - 1))
     return Graph(3 * k + 3, edges)
+
+
+# The family graphs a witness can name.  The size guards bound k, so every
+# model shares one of these instead of keeping a copy of its pattern: a
+# caller that keeps many outcomes would otherwise pay about 110 bytes each.
+_PATTERNS = {
+    "cycle": {k: gen_cycle(k) for k in range(3, CYCLE_SEARCH_MAX + 1)},
+    "triangles": {k: gen_triangles(k) for k in range(1, CYCLE_SEARCH_MAX // 3 + 1)},
+    "marguerite": {k: gen_marguerite(k) for k in range(1, (MARGUERITE_SEARCH_MAX + 1) // 2)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +179,7 @@ def cycle_packing(g: Graph) -> list[list[int]]:
     """
     _check_cycle_scale(g, "cycle_packing")
     adj = g.adj_masks
-    edges = sorted(g.edges)
+    edges = _edge_list(adj)
     memo: dict[int, list[list[int]]] = {}
 
     def chordless_through(v: int, alive: int) -> list[list[int]]:
@@ -217,15 +236,135 @@ def max_cycle_packing(g: Graph) -> int:
     return len(cycle_packing(g))
 
 
-def max_marguerite(g: Graph) -> int:
-    """Largest m such that the m-petal marguerite is a minor of g, found by
-    growing m until the branch-set search fails (marguerites are minors of
-    their successors, so the first failure is final)."""
+def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int,
+                 memo: dict) -> bool:
+    """True when the subgraph that `alive` induces holds `need` vertex-disjoint
+    paths, each joining two distinct vertices of `ends` (a subset of alive).
+
+    Paths with an end vertex inside can be cut short at it, and paths with
+    a chord can be cut short along it, so only chordless paths through
+    non-end vertices are tried (Gallai's T-paths).  Branch on the lowest end
+    vertex s: it is either unused, and dropped, or the start of a path.
+    """
+    if need <= 0:
+        return True
+    if ends.bit_count() < 2 * need:
+        return False
+    key = (alive, ends, need)
+    if key in memo:
+        return memo[key]
+    s = ends & -ends
+    found = _petal_paths(adj, alive ^ s, ends ^ s, need, memo)
+    stack = [(s.bit_length() - 1, s)]  # (last vertex, path mask)
+    while stack and not found:
+        u, path = stack.pop()
+        earlier = path & ~(1 << u)
+        for w in _bits(adj[u] & alive & ~path):
+            if adj[w] & earlier:
+                continue  # a chord
+            wbit = 1 << w
+            if not ends & wbit:
+                stack.append((w, path | wbit))
+            elif _petal_paths(adj, alive & ~(path | wbit), ends & ~(path | wbit),
+                              need - 1, memo):
+                found = True
+                break
+    memo[key] = found
+    return found
+
+
+class _BranchSets(Mapping):
+    """Branch sets packed into one int: the set of pattern vertex p is the
+    vertex mask in bits p * width up to (p + 1) * width.  Branch sets are
+    never empty, so the last one ends the int."""
+
+    __slots__ = ("_packed", "_width")
+
+    def __init__(self, masks: Sequence[int], width: int):
+        packed = 0
+        for p, mask in enumerate(masks):
+            packed |= mask << p * width
+        self._packed, self._width = packed, width
+
+    def __getitem__(self, p: int) -> frozenset:
+        if not (isinstance(p, int) and 0 <= p < len(self)):
+            raise KeyError(p)
+        return frozenset(_bits(self._packed >> p * self._width & (1 << self._width) - 1))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __len__(self) -> int:
+        return -(-self._packed.bit_length() // self._width)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
+def marguerite_model(g: Graph, k: int) -> MinorModel | None:
+    """A model of the k-petal marguerite in g, or None.  It is the model that
+    its slow twin `brute_minor(gen_marguerite(k), g)` returns.
+
+    Branch sets are placed as `brute_minor` places them: the hub first,
+    then a1, b1, a2, b2, ..., each over `_connected_subsets` in the same
+    order.  One cut is added.  Call a vertex outside the hub set H with a
+    neighbour in H a contact.  H extends to a model iff G - H holds k
+    vertex-disjoint paths, each joining two distinct contacts: a petal
+    holds such a path, and such a path splits into a petal.  So a hub, or
+    a model with i petals placed, is skipped when the vertices left cannot
+    hold the k - i petals still needed.  The cut removes only branches
+    without a completion, so the first model found is brute_minor's.
+    """
     if g.n > MARGUERITE_SEARCH_MAX:
         raise SizeLimitError(
-            f"max_marguerite supports up to {MARGUERITE_SEARCH_MAX} vertices, got {g.n}")
+            f"marguerite_model supports up to {MARGUERITE_SEARCH_MAX} vertices, got {g.n}")
+    if k < 1:
+        raise ValueError(f"need at least one petal, got {k}")
+    if 2 * k + 1 > g.n or 3 * k > g.m:
+        return None
+    h = _PATTERNS["marguerite"][k]
+    adj = g.adj_masks
+    full = (1 << g.n) - 1
+    sets = [0] * h.n  # hub, then a_i, b_i as 2i - 1, 2i
+    memo: dict = {}
+
+    def place(p: int, used: int, contacts: int) -> bool:
+        if p == h.n:
+            return True
+        free = full & ~used
+        budget = free.bit_count() - (h.n - 1 - p)
+        if budget <= 0:
+            return False
+        for bmask in _connected_subsets(adj, free, budget):
+            nb = _mask_neighbors(adj, bmask)
+            rest = free & ~bmask
+            if p == 0:
+                if not _petal_paths(adj, rest, nb, k, memo):
+                    continue
+                contacts = nb
+            elif p % 2:  # a_i: touches the hub and leaves room for b_i
+                if not (nb & sets[0] and nb & rest):
+                    continue
+            elif not (nb & sets[0] and nb & sets[p - 1]
+                      and _petal_paths(adj, rest, contacts & rest, k - p // 2, memo)):
+                continue
+            sets[p] = bmask
+            if place(p + 1, used | bmask, contacts):
+                return True
+        return False
+
+    if not place(0, 0, 0):
+        return None
+    return MinorModel(pattern=h, branch_sets=_BranchSets(sets, g.n))
+
+
+def max_marguerite(g: Graph) -> int:
+    """Largest m such that the m-petal marguerite is a minor of g, found by
+    growing m until the model search fails (marguerites are minors of
+    their successors, so the first failure is final).  Guarded as
+    `marguerite_model` is."""
     m = 0
-    while brute_minor(gen_marguerite(m + 1), g) is not None:
+    while marguerite_model(g, m + 1) is not None:
         m += 1
     return m
 
@@ -233,7 +372,7 @@ def max_marguerite(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 # dichotomy
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DichotomyOutcome:
     """Either a family witness (family, parameter, model) or an id_set."""
 
@@ -256,30 +395,31 @@ class DichotomyOutcome:
         return json.dumps(self.as_json_dict(), sort_keys=True)
 
 
-def _cycle_model(cycle: list[int], k: int) -> MinorModel:
-    """Model of C_k on a host cycle of length >= k: k-1 singleton arcs plus
-    one long arc absorbing the slack."""
-    sets = {i: frozenset([cycle[i]]) for i in range(k - 1)}
-    sets[k - 1] = frozenset(cycle[k - 1:])
-    return MinorModel(pattern=gen_cycle(k), branch_sets=sets)
+def _mask(vertices: Iterable[int]) -> int:
+    return sum(1 << v for v in vertices)
 
 
-def _triangles_model(cycles: list[list[int]], k: int) -> MinorModel:
-    """Model of k disjoint triangles on k disjoint host cycles: each cycle is
-    split into three consecutive arcs."""
-    sets = {}
-    for i, cyc in enumerate(cycles[:k]):
-        sets[3 * i] = frozenset([cyc[0]])
-        sets[3 * i + 1] = frozenset([cyc[1]])
-        sets[3 * i + 2] = frozenset(cyc[2:])
-    return MinorModel(pattern=gen_triangles(k), branch_sets=sets)
+def _cycle_model(cycle: list[int], k: int, n: int) -> MinorModel:
+    """Model of C_k on a cycle of length >= k in a host on n vertices: k-1
+    singleton arcs plus one long arc absorbing the slack."""
+    masks = [1 << v for v in cycle[:k - 1]] + [_mask(cycle[k - 1:])]
+    return MinorModel(pattern=_PATTERNS["cycle"][k], branch_sets=_BranchSets(masks, n))
+
+
+def _triangles_model(cycles: list[list[int]], k: int, n: int) -> MinorModel:
+    """Model of k disjoint triangles on k disjoint cycles of a host on n
+    vertices: each cycle is split into three consecutive arcs."""
+    masks = []
+    for cyc in cycles[:k]:
+        masks += [1 << cyc[0], 1 << cyc[1], _mask(cyc[2:])]
+    return MinorModel(pattern=_PATTERNS["triangles"][k], branch_sets=_BranchSets(masks, n))
 
 
 def exact_fvs(g: Graph) -> frozenset:
     """A minimum feedback vertex set, by branching on shortest cycles."""
     _check_cycle_scale(g, "exact_fvs")
     adj = g.adj_masks
-    edges = sorted(g.edges)
+    edges = _edge_list(adj)
     memo: dict[int, frozenset] = {}
 
     def solve(alive: int) -> frozenset:
@@ -300,22 +440,15 @@ def exact_fvs(g: Graph) -> frozenset:
     return solve((1 << g.n) - 1)
 
 
-def _trimmed_tree(g: Graph, tree: frozenset, forest_adj: dict, contacts: frozenset) -> frozenset:
-    """Iteratively drop leaves of the tree that are not contact vertices."""
-    deg = {v: len(forest_adj[v] & tree) for v in tree}
-    kept = set(tree)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(kept):
-            if deg[v] <= 1 and v not in contacts:
-                kept.discard(v)
-                for w in forest_adj[v]:
-                    if w in kept:
-                        deg[w] -= 1
-                deg[v] = 0
-                changed = True
-    return frozenset(kept)
+def _trimmed_tree(forest: list[int], tree: int, contacts: int) -> int:
+    """The smallest subtree of a tree (a vertex mask, with adjacency rows
+    `forest`) that holds all its contact vertices, found by dropping
+    non-contact leaves until none is left."""
+    while True:
+        leaves = [v for v in _bits(tree & ~contacts) if (forest[v] & tree).bit_count() <= 1]
+        if not leaves:
+            return tree
+        tree &= ~_mask(leaves)
 
 
 def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
@@ -333,51 +466,42 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
         raise ValueError(f"parameter must be >= 1, got {k}")
     packing = cycle_packing(g)
     if len(packing) >= k:
-        return DichotomyOutcome("triangles", k, _triangles_model(packing, k), None)
+        return DichotomyOutcome("triangles", k, _triangles_model(packing, k, g.n), None)
     if k >= 3:
         cyc = longest_cycle(g)
         if len(cyc) >= k:
-            return DichotomyOutcome("cycle", k, _cycle_model(cyc, k), None)
+            return DichotomyOutcome("cycle", k, _cycle_model(cyc, k, g.n), None)
     if g.n <= MARGUERITE_SEARCH_MAX:
-        model = brute_minor(gen_marguerite(k), g)
+        model = marguerite_model(g, k)
         if model is not None:
             return DichotomyOutcome("marguerite", k, model, None)
 
-    x = exact_fvs(g)
-    xmask = sum(1 << v for v in x)
-    forest_verts = [v for v in range(g.n) if v not in x]
-    forest_adj = {v: frozenset(w for w in g.adj[v] if w not in x) for v in forest_verts}
-    trees = [frozenset(_bits(t))
-             for t in components(g.adj_masks, ((1 << g.n) - 1) & ~xmask)]
-
-    kept_edges: set = set()
-    internal: set = set()
-    for comp in components(g.adj_masks, xmask):
-        cx = frozenset(_bits(comp))
-        contacts = frozenset(w for v in cx for w in g.adj[v] if w not in x)
+    adj = g.adj_masks
+    xmask = _mask(exact_fvs(g))
+    fmask = ((1 << g.n) - 1) & ~xmask
+    forest = [row & fmask for row in adj]
+    trees = components(forest, fmask)
+    kept_nbrs = [0] * g.n  # forest edges inside some trimmed tree
+    internal = 0
+    for comp in components(adj, xmask):
+        contacts = 0
+        for v in _bits(comp):
+            contacts |= forest[v]
         for tree in trees:
-            if not (tree & contacts):
+            if not tree & contacts:
                 continue
-            kept = _trimmed_tree(g, tree, forest_adj, contacts & tree)
-            for v in kept:
-                for w in forest_adj[v]:
-                    if w in kept and v < w:
-                        kept_edges.add((v, w))
-            deg = {v: len(forest_adj[v] & kept) for v in kept}
-            internal |= {v for v in kept if deg[v] >= 2}
-    extra_endpoints: set = set()
-    for v in forest_verts:
-        for w in forest_adj[v]:
-            if v < w and (v, w) not in kept_edges:
-                extra_endpoints |= {v, w}
-    v_prime = set(x) | extra_endpoints | internal
+            kept = _trimmed_tree(forest, tree, contacts & tree)
+            for v in _bits(kept):
+                kept_nbrs[v] |= forest[v] & kept
+                if (forest[v] & kept).bit_count() >= 2:
+                    internal |= 1 << v
+    extra_endpoints = _mask([v for v in _bits(fmask) if forest[v] & ~kept_nbrs[v]])
+    cover = xmask | extra_endpoints | internal
 
     core = remove_bridges(g)
-    uncovered = [(u, w) for u, w in core.edges if u not in v_prime and w not in v_prime]
-    if uncovered:
-        support = sorted({v for e in uncovered for v in e})
-        sub, origin = induced_subgraph(Graph(g.n, uncovered), support)
-        fill = vc_exact(sub).cover
-        v_prime |= {origin[v] for v in fill}
-    id_set = partition_from_cover(g, v_prime)
-    return DichotomyOutcome(None, None, None, id_set)
+    uncovered = [0 if cover >> v & 1 else row & ~cover for v, row in enumerate(core.adj_masks)]
+    if any(uncovered):
+        support = [v for v, row in enumerate(uncovered) if row]
+        sub, origin = induced_subgraph(Graph._from_rows(uncovered), support)
+        cover |= _mask([origin[v] for v in vc_exact(sub).cover])
+    return DichotomyOutcome(None, None, None, _split_cover(core, frozenset(_bits(cover))))

@@ -118,7 +118,7 @@ def brute_ecf(g: Graph) -> EcfValue:
 # ---------------------------------------------------------------------------
 # minor testing by explicit branch-set models
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MinorModel:
     """A minor model: pairwise disjoint connected branch sets in the host,
     one per pattern vertex, with every pattern edge realized by a host edge."""

@@ -4,8 +4,11 @@ dichotomy."""
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from conftest import graphs_up_to, random_graph
@@ -17,8 +20,9 @@ from idforest import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX, Graph,
                       gen_cycle, gen_marguerite, gen_triangles, identify_set,
                       identify_partition, idf_exact, induced_subgraph,
                       is_forest, is_id_forest_partition, is_isomorphic,
-                      longest_cycle, max_cycle_packing, max_marguerite,
-                      path_graph)
+                      longest_cycle, marguerite_model, max_cycle_packing,
+                      max_marguerite, path_graph)
+from idforest.minors import _petal_paths
 
 
 def petersen() -> Graph:
@@ -66,6 +70,23 @@ def independent_max_packing(g: Graph) -> int:
         return max(skip, take)
 
     return best(cycles)
+
+
+def tree_plus_edges(rng: random.Random, n: int, extra: int) -> Graph:
+    """A random labelled tree on n vertices plus `extra` random non-edges."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[v], perm[rng.randrange(v)]))) for v in range(1, n)}
+    non_edges = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    return Graph(n, edges | set(rng.sample(non_edges, extra)))
+
+
+def dichotomy_corpus() -> list[tuple[Graph, int]]:
+    """400 sparse graphs with 9..16 vertices, each with its k in 2..4; half
+    of them at k = 2, where the marguerite search and the fallback answer."""
+    rng = random.Random(409)
+    return [(tree_plus_edges(rng, 9 + i // 4 % 8, rng.randint(2, 5)), (2, 2, 3, 4)[i % 4])
+            for i in range(400)]
 
 
 class TestGenerators:
@@ -215,6 +236,40 @@ class TestMaxMarguerite:
             max_marguerite(Graph(MARGUERITE_SEARCH_MAX + 1))
 
 
+class TestMargueriteModel:
+    def test_equals_brute_minor_on_every_graph_up_to_7_vertices(self):
+        for g in graphs_up_to(7):
+            for k in (1, 2, 3):
+                assert marguerite_model(g, k) == brute_minor(gen_marguerite(k), g)
+
+    def test_equals_brute_minor_on_sparse_9_to_12_vertex_graphs(self):
+        rng = random.Random(421)
+        for n in range(9, 13):
+            for extra in (2, 3, 4, 5):
+                g = tree_plus_edges(rng, n, extra)
+                for k in (2, 3):
+                    model = marguerite_model(g, k)
+                    assert model == brute_minor(gen_marguerite(k), g)
+                    assert model is None or model.validates_in(g)
+
+    def test_a_hub_with_one_contact_carries_no_petal(self):
+        # hub {0} touches only 1, which lies on the triangle 1, 2, 3
+        g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+        adj = g.adj_masks
+        assert not _petal_paths(adj, 0b1110, 0b0010, 1, {})
+        assert marguerite_model(g, 1) is not None  # with another hub
+
+    def test_four_contacts_on_a_star_carry_one_petal(self):
+        # hub 0 touches the four leaves 2..5 of the star centred at 1: any
+        # two paths between leaves meet at the centre
+        g = Graph(6, [(0, v) for v in range(2, 6)] + [(1, v) for v in range(2, 6)])
+        adj = g.adj_masks
+        assert _petal_paths(adj, 0b111110, 0b111100, 1, {})
+        assert not _petal_paths(adj, 0b111110, 0b111100, 2, {})
+        assert marguerite_model(g, 2) is None
+        assert brute_minor(gen_marguerite(2), g) is None
+
+
 class TestDichotomy:
     def test_path_gets_an_empty_identification_set(self):
         out = dichotomy(path_graph(10), 3)
@@ -275,3 +330,30 @@ class TestDichotomy:
     def test_id_set_json_shape(self):
         out = dichotomy(cycle_graph(4), 2)
         assert out.as_json_dict() == {"id_set": [[0, 2]]}
+
+    def test_json_is_pinned(self):
+        # sha256 of the JSON lines of the seeded corpus, taken before the
+        # marguerite search was pruned and the outcomes were packed
+        lines = [dichotomy(g, k).as_json() for g, k in dichotomy_corpus()]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "643da8b7542ece0b8921376ea798f8f06f8159723ac69df3240150ccef8a5b34"
+
+
+class TestKeptResults:
+    def test_kept_inputs_and_outcomes_stay_small(self):
+        # dichotomy reads only adjacency rows and packs branch sets into one
+        # int, so a caller that keeps every input and outcome pays for the
+        # packed matrix and the result, not for edge or neighbour sets
+        # (about 4.3 KB per graph and outcome when those were kept).
+        batch = [(g.n, sorted(g.edges), k) for g, k in dichotomy_corpus()[:120]]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [(g, dichotomy(g, k)) for g, k in ((Graph(n, e), k) for n, e, k in batch)]
+            gc.collect()
+            per_result = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_result < 1024
+        assert all(g._edges is None and g._adj is None for g, _ in kept)
