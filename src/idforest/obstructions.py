@@ -6,14 +6,17 @@ n+1 vertices is kept exactly when deleting its canonical last vertex
 reproduces the parent it was grown from, so no global seen-set is needed and
 independent branches parallelize trivially.  Only attachments that give the
 new vertex maximum degree are tried, because canonical refinement keeps cell
-order and so puts a maximum-degree vertex last.
+order and so puts a maximum-degree vertex last.  `enumerate_graphs` reaches
+9 vertices and recomputes the levels below n on every call.
 
 The obstruction scans find the minor-minimal graphs outside "vertex cover at
 most k" and outside "identification distance to a forest at most k".  Both
 classes are minor-closed and a child's canonical parent is a proper minor of
 it, so a scan augments only the members of each level, never the full level:
 a child inside the class joins the next level, and a child outside it is
-tested against its one-step minors.  That test is skipped for a child with an
+tested against its one-step minors.  Holding only its members, a scan reaches
+its 2k+2 or 2k+4 vertex bound (10 vertices for idf at k = 3) past the
+enumerator's limit.  The minimality test is skipped for a child with an
 isolated vertex, and for idf also for a child with a bridge, because deleting
 that vertex or bridge leaves a proper minor still outside the class.  On top
 of the scans sit a battery of structural cross-checks relating the two sets,
@@ -29,7 +32,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations
 
 from .canon import canonical_form, canonical_labeling
 from .errors import SizeLimitError
@@ -42,14 +45,10 @@ from .oracle import brute_minor
 from .solver import idf_decision, idf_exact
 from .vc import vc_decision, vc_exact
 
-ENUMERATION_MAX_VERTICES = 10
-_MATERIALIZED_MAX = 9
+ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
-_BATCH = 4096
 
 Predicate = Callable[[Graph], bool]
-
-_levels: dict[int, list[str]] = {}
 
 
 def _augmented_children(parent: Graph) -> list[Graph]:
@@ -96,27 +95,14 @@ def _augment_worker(parent_line: str) -> list[str]:
     return [graph6_str(c) for c in children]
 
 
-def _pmap(fn: Callable, items: Iterable, workers: int) -> Iterator:
-    """fn over items, in order: serially when workers <= 1 or the input is
-    small, otherwise on a process pool.  The pool is fed in batches of _BATCH
-    because Pool.imap drains its whole input into the task queue, and a
-    streamed level must not."""
-    if workers <= 1:
+def _pmap(fn: Callable, items: list, workers: int) -> Iterator:
+    """fn over items, in order: serially when workers <= 1 or the list is
+    short, otherwise on one process pool."""
+    if workers <= 1 or len(items) < 2 * _CHUNK:
         yield from map(fn, items)
         return
-    rest = iter(items)
-    batch = list(islice(rest, _BATCH))
-    if len(batch) < 2 * _CHUNK:
-        yield from map(fn, batch)
-        return
     with multiprocessing.Pool(workers) as pool:
-        while batch:
-            yield from pool.imap(fn, batch, chunksize=_CHUNK)
-            batch = list(islice(rest, _BATCH))
-
-
-def _level_path(checkpoint_dir: str, n: int) -> str:
-    return os.path.join(checkpoint_dir, f"graphs-n{n}.g6")
+        yield from pool.imap(fn, items, chunksize=_CHUNK)
 
 
 def _replace_file(path: str, lines: Iterable[str]):
@@ -138,86 +124,20 @@ def _read_lines(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _ensure_level(n: int, workers: int, checkpoint_dir: str | None):
-    path = None if checkpoint_dir is None else _level_path(checkpoint_dir, n)
-    if n not in _levels:
-        if path is not None and os.path.exists(path):
-            _levels[n] = _read_lines(path)
-            return
-        if n == 0:
-            _levels[0] = [graph6_str(Graph(0))]
-        else:
-            _ensure_level(n - 1, workers, checkpoint_dir)
-            batches = _pmap(_augment_worker, _levels[n - 1], workers)
-            _levels[n] = [child for batch in batches for child in batch]
-    if path is not None and not os.path.exists(path):
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        _replace_file(path, _levels[n])
-
-
-def _resume_partial(partial: str, progress: str) -> tuple[int, int]:
-    """(parents done, lines written) as the last progress write recorded
-    them.  The partial file is cut back to that many lines, which drops a
-    batch appended after the write; with no record, or a file shorter than
-    the record, the stream starts over."""
-    done = count = 0
-    if os.path.exists(progress):
-        with open(progress) as fh:
-            done, count = map(int, fh.read().split())
-    with open(partial, "a+b") as fh:
-        fh.seek(0)
-        lines = size = 0
-        for line in islice(fh, count):
-            lines += 1
-            size += len(line)
-        if lines < count:
-            done = count = size = 0
-        fh.truncate(size)
-    return done, count
-
-
-def enumerate_graphs(n: int, *, workers: int = 1,
-                     checkpoint_dir: str | None = None) -> Iterator[Graph]:
-    """Stream one canonical representative per isomorphism class of simple
-    graphs on n vertices, in a deterministic order.
-
-    Levels up to 9 vertices are materialized (and reused across calls, or
-    persisted to checkpoint_dir when given); the 10-vertex level, 12,005,168
-    classes, is streamed parent by parent instead of held as a list.  With a
-    checkpoint_dir, a streamed level resumes after a crash where its last
-    progress record left off, without repeating any graph.
-    """
+def enumerate_graphs(n: int, *, workers: int = 1) -> Iterator[Graph]:
+    """One canonical representative per isomorphism class of simple graphs
+    on n vertices, in a deterministic order.  Each call grows levels 0..n-1
+    again as lists of graph6 lines and keeps nothing afterwards."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > ENUMERATION_MAX_VERTICES:
         raise SizeLimitError(
             f"enumeration supports up to {ENUMERATION_MAX_VERTICES} vertices, got {n}")
-    if n <= _MATERIALIZED_MAX:
-        _ensure_level(n, workers, checkpoint_dir)
-        for line in _levels[n]:
-            yield graph6_to_graph(line)
-        return
-
-    _ensure_level(_MATERIALIZED_MAX, workers, checkpoint_dir)
-    parents = _levels[_MATERIALIZED_MAX]
-    done = count = 0
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-        partial = os.path.join(checkpoint_dir, f"graphs-n{n}.partial.g6")
-        progress = os.path.join(checkpoint_dir, f"graphs-n{n}.progress")
-        done, count = _resume_partial(partial, progress)
-        with open(partial) as fh:
-            for line in fh:
-                yield graph6_to_graph(line.strip())
-    for processed, batch in enumerate(_pmap(_augment_worker, parents[done:], workers),
-                                      start=done + 1):
-        for line in batch:
-            yield graph6_to_graph(line)
-        if checkpoint_dir is not None:
-            with open(partial, "a") as fh:
-                fh.writelines(line + "\n" for line in batch)
-            count += len(batch)
-            _replace_file(progress, [f"{processed} {count}"])
+    level = [graph6_str(Graph(0))]
+    for _ in range(n):
+        level = [line for lines in _pmap(_augment_worker, level, workers)
+                 for line in lines]
+    yield from map(graph6_to_graph, level)
 
 
 def one_step_minors(g: Graph) -> Iterator[Graph]:
@@ -385,8 +305,7 @@ def obs_idf(k: int, *, long_run: bool = False, workers: int = 1,
         raise ValueError(f"supported budgets are 0..3, got {k}")
     if k == 3 and not long_run:
         raise ValueError("k = 3 scans take a while; pass long_run=True to opt in")
-    max_n = min(2 * k + 4, ENUMERATION_MAX_VERTICES)
-    members = _scan("idf", k, max_n, workers=workers, checkpoint_dir=checkpoint_dir)
+    members = _scan("idf", k, 2 * k + 4, workers=workers, checkpoint_dir=checkpoint_dir)
     provenance = {graph6_str(g): _spanning_vc_minimal(g, idf_exact(g).value - 1)
                   for g in members}
     return ObstructionReport(kind="idf", k=k, obstructions=members,

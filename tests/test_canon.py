@@ -11,8 +11,9 @@ from conftest import graphs_up_to, random_graph, relabel, unlabeled_graph_count
 
 from idforest import (CANON_MAX_VERTICES, Graph, SizeLimitError,
                       canonical_form, canonical_graph, canonical_labeling,
-                      complete_bipartite_graph, enumerate_graphs,
-                      is_isomorphic, path_graph)
+                      complete_bipartite_graph, cycle_graph, disjoint_union,
+                      enumerate_graphs, gen_marguerite, is_isomorphic,
+                      path_graph)
 
 
 def test_invariant_over_full_orbit_up_to_5_vertices():
@@ -72,6 +73,36 @@ def test_regular_graphs_with_same_degrees_separate():
     prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                       (0, 3), (1, 4), (2, 5)])
     assert not is_isomorphic(k33, prism)
+
+
+def to_networkx(nx, g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@pytest.mark.parametrize("g", [cycle_graph(12), complete_bipartite_graph(6, 6),
+                               gen_marguerite(3)], ids=["C12", "K6_6", "marguerite3"])
+def test_forms_agree_with_networkx_under_relabeling(g):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(59)
+    want = canonical_form(g)
+    for _ in range(20):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert canonical_form(h) == want
+        assert nx.is_isomorphic(to_networkx(nx, h), to_networkx(nx, g))
+
+
+def test_forms_agree_with_networkx_on_a_same_degree_pair():
+    # C12 and 2·C6 are both 2-regular on 12 vertices
+    nx = pytest.importorskip("networkx")
+    c12 = cycle_graph(12)
+    two_c6 = disjoint_union(cycle_graph(6), cycle_graph(6))
+    assert canonical_form(c12) != canonical_form(two_c6)
+    assert not nx.is_isomorphic(to_networkx(nx, c12), to_networkx(nx, two_c6))
 
 
 def test_size_guard():

@@ -6,11 +6,15 @@ import random
 
 import pytest
 from conftest import graphs_up_to, random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idforest import (GRAPH6_MAX_VERTICES, Graph, Graph6ParseError, SizeLimitError,
                       complete_graph, cycle_graph, disjoint_union,
                       edge_list_str, edge_list_to_graph, graph6_bytes,
                       graph6_str, graph6_to_graph)
+
+NON_GRAPH6_BYTES = [byte for byte in range(256) if not 63 <= byte <= 126]
 
 
 class TestGraph6:
@@ -82,6 +86,16 @@ class TestGraph6:
             graph6_to_graph(text)
         assert err.value.offset == offset
         assert f"(byte {offset})" in str(err.value)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 64), st.integers(0, 2**32 - 1), st.data())
+    def test_a_replaced_byte_is_reported_at_its_offset(self, n, seed, data):
+        text = graph6_bytes(random_graph(random.Random(seed), n, 0.3))
+        pos = data.draw(st.integers(0, len(text) - 1))
+        bad = data.draw(st.sampled_from(NON_GRAPH6_BYTES))
+        with pytest.raises(Graph6ParseError) as err:
+            graph6_to_graph(text[:pos] + bytes([bad]) + text[pos + 1:])
+        assert err.value.offset == pos
 
 
 class TestEdgeList:

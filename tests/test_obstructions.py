@@ -75,9 +75,6 @@ class TestEnumeration:
         assert len(graphs) == count == unlabeled_graph_count(n)
         assert all(g.n == n for g in graphs)
 
-    def test_level_seven_count(self):
-        assert sum(1 for _ in enumerate_graphs(7)) == unlabeled_graph_count(7)
-
     def test_levels_match_exhaustive_augmentation(self):
         level = [Graph(0)]
         for n in range(8):
@@ -118,87 +115,9 @@ class TestEnumeration:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == serial
 
-    def test_checkpoint_files_round_trip(self, tmp_path):
-        script = ("import idforest\n"
-                  f"for g in idforest.enumerate_graphs(5, checkpoint_dir={str(tmp_path)!r}):\n"
-                  "    print(idforest.graph6_str(g))\n")
-        first = subprocess.run([sys.executable, "-c", script],
-                               capture_output=True, text=True, check=True)
-        level5 = tmp_path / "graphs-n5.g6"
-        assert level5.exists()
-        assert first.stdout.split() == level5.read_text().split()
-        # a fresh process must reproduce the same stream from the checkpoint
-        second = subprocess.run([sys.executable, "-c", script],
-                                capture_output=True, text=True, check=True)
-        assert second.stdout == first.stdout
-
-    def test_checkpoint_written_for_a_level_already_enumerated(self, tmp_path):
-        list(enumerate_graphs(5))
-        streamed = [graph6_str(g)
-                    for g in enumerate_graphs(5, checkpoint_dir=str(tmp_path))]
-        level5 = tmp_path / "graphs-n5.g6"
-        assert level5.exists()
-        assert level5.read_text().split() == streamed
-
-    def test_level_write_cut_off_leaves_no_file(self, tmp_path, monkeypatch):
-        expected = [graph6_str(g) for g in enumerate_graphs(5)]
-        level5 = tmp_path / "graphs-n5.g6"
-
-        def failing_open(path, mode="r", *args, **kwargs):
-            fh = open(path, mode, *args, **kwargs)
-            if "w" in mode and "graphs-n5" in str(path):
-                fh.write(expected[0] + "\n")
-                fh.close()
-                raise OSError("disk full")
-            return fh
-
-        monkeypatch.setattr(obstructions, "_levels", {})
-        monkeypatch.setattr(obstructions, "open", failing_open, raising=False)
-        with pytest.raises(OSError):
-            next(enumerate_graphs(5, checkpoint_dir=str(tmp_path)))
-        assert not level5.exists()
-        monkeypatch.delattr(obstructions, "open")
-        monkeypatch.setattr(obstructions, "_levels", {})
-        again = [graph6_str(g) for g in enumerate_graphs(5, checkpoint_dir=str(tmp_path))]
-        assert again == expected
-        assert level5.read_text().split() == expected
-
-    def test_streamed_level_resumes_without_duplicates(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(obstructions, "_MATERIALIZED_MAX", 5)
-        whole = [graph6_str(g) for g in enumerate_graphs(6)]
-        progress_writes = []
-
-        def crash_before_third_progress_write(path, mode="r", *args, **kwargs):
-            if "w" in mode and ".progress" in str(path):
-                progress_writes.append(path)
-                if len(progress_writes) == 3:
-                    raise OSError("crash between append and progress write")
-            return open(path, mode, *args, **kwargs)
-
-        monkeypatch.setattr(obstructions, "open", crash_before_third_progress_write,
-                            raising=False)
-        first = []
-        with pytest.raises(OSError):
-            for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path)):
-                first.append(graph6_str(g))
-        assert first == whole[:len(first)]
-        monkeypatch.delattr(obstructions, "open")
-        resumed = [graph6_str(g) for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path))]
-        assert len(set(resumed)) == len(resumed)
-        assert resumed == whole
-
-    def test_streamed_level_restarts_when_partial_file_is_short(self, tmp_path,
-                                                                monkeypatch):
-        monkeypatch.setattr(obstructions, "_MATERIALIZED_MAX", 5)
-        whole = [graph6_str(g) for g in enumerate_graphs(6)]
-        (tmp_path / "graphs-n6.partial.g6").write_text(whole[0] + "\n")
-        (tmp_path / "graphs-n6.progress").write_text("3 10\n")
-        resumed = [graph6_str(g) for g in enumerate_graphs(6, checkpoint_dir=str(tmp_path))]
-        assert resumed == whole
-
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
-            next(enumerate_graphs(11))
+            next(enumerate_graphs(10))
         with pytest.raises(ValueError):
             next(enumerate_graphs(-1))
 
@@ -262,6 +181,18 @@ class TestObstructionScans:
             obs_idf(3)
         with pytest.raises(ValueError):
             obs_vc(4, long_run=True)
+
+    def test_scan_bounds_do_not_follow_the_enumeration_limit(self, monkeypatch):
+        asked = []
+
+        def record(kind, k, max_n, **kwargs):
+            asked.append((kind, max_n))
+            return ()
+
+        monkeypatch.setattr(obstructions, "_scan", record)
+        obs_idf(3, long_run=True)
+        obs_vc(3, long_run=True)
+        assert asked == [("idf", 10), ("vc", 8)]
 
     def test_parallel_scans_match_serial(self):
         # levels 7 and 8 of the budget-2 identification scan grow from 61 and
