@@ -4,9 +4,12 @@ canonical_form gives equal byte strings exactly for isomorphic graphs.  The
 algorithm is the usual individualization/refinement search: iterated
 degree/neighborhood color refinement, branching on the first non-singleton
 color class, and taking the lexicographically smallest adjacency encoding
-over the leaves.  Two prunings keep symmetric inputs tractable at n <= 12:
+over the leaves.  Refinement packs each vertex's signature (its color, then
+its neighbor count in each cell) into one int, which orders exactly as the
+tuple would.  Two prunings keep symmetric inputs tractable at n <= 12:
 a best-prefix cut on the partial encoding, and skipping branch vertices that
-are twins of an already-explored choice (the swap is an automorphism).
+are twins of an already-explored choice (the swap is an automorphism).  The
+enumerator's augmentation reuses that twin test.
 """
 
 from __future__ import annotations
@@ -22,24 +25,33 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
 
     New colors are ranked by (old color, per-color neighbor counts), so cell
     order is label independent and fragments stay next to their origin cell.
+    That signature is packed into one int, its entries as digits in base
+    n + 1: every entry is below n + 1 and every signature of a round has the
+    same length, so int order is tuple order and the colors are unchanged.
     """
-    rank0 = {c: i for i, c in enumerate(sorted(set(colors)))}
-    colors = [rank0[c] for c in colors]
-    while True:
-        masks: dict[int, int] = {}
+    order = sorted(set(colors))
+    rank = {c: i for i, c in enumerate(order)}
+    colors = [rank[c] for c in colors]
+    cells = len(order)
+    base = n + 1
+    while cells < n:
+        cell_masks = [0] * cells
         for v in range(n):
-            masks[colors[v]] = masks.get(colors[v], 0) | (1 << v)
-        if len(masks) == n:
-            return colors
-        color_ids = sorted(masks)
-        cell_masks = [masks[c] for c in color_ids]
-        sig = [(colors[v],) + tuple((adj[v] & cm).bit_count() for cm in cell_masks)
-               for v in range(n)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(n)]
-        if new == colors:
-            return colors
-        colors = new
+            cell_masks[colors[v]] |= 1 << v
+        sig = []
+        for v in range(n):
+            row = adj[v]
+            s = colors[v]
+            for cm in cell_masks:
+                s = s * base + (row & cm).bit_count()
+            sig.append(s)
+        order = sorted(set(sig))
+        if len(order) == cells:
+            break
+        rank = {s: i for i, s in enumerate(order)}
+        colors = [rank[s] for s in sig]
+        cells = len(order)
+    return colors
 
 
 def _prefix_bits(n: int, adj: tuple[int, ...], colors: list[int]) -> tuple[int, int, int]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
-from .canon import canonical_form, canonical_labeling
+from .canon import _twins, canonical_form, canonical_labeling
 from .errors import SizeLimitError
 from .graph import (Graph, _relabel, bridges, connected_components,
                     contract_edge, delete_edge, delete_vertex, disjoint_union,
@@ -51,6 +51,23 @@ _CHUNK = 16
 Predicate = Callable[[Graph], bool]
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the twin classes with at least two vertices.
+
+    Open twins (N(u) = N(v)) and closed twins (N[u] = N[v]) never chain into
+    each other, so "twin" is an equivalence, and any permutation inside one
+    class is an automorphism."""
+    classes: list[int] = []
+    for v in range(len(adj)):
+        for i, mask in enumerate(classes):
+            if _twins(adj, v, (mask & -mask).bit_length() - 1):
+                classes[i] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return [mask for mask in classes if mask & (mask - 1)]
+
+
 def _augmented_children(parent: Graph) -> list[Graph]:
     """Canonical children of a canonical parent, sorted by canonical code.
 
@@ -59,22 +76,32 @@ def _augmented_children(parent: Graph) -> list[Graph]:
     its first pass ranks vertices by degree, so that last vertex lies in the
     highest-degree cell.  A neighbour set is therefore tried only when the new
     vertex has maximum degree in the child: each kept class is still reached
-    through the set that makes the new vertex its canonical last vertex.  A
-    tried set costs one canonical search, and a second one on the deleted
-    graph only when the new vertex is not canonically last and the class is
-    new to this parent.  Across parents the acceptance rule already guarantees
-    disjointness.
+    through the set that makes the new vertex its canonical last vertex.
+    Swapping two twins of the parent is an automorphism of it, so a set is
+    also tried only when it takes the lowest-labelled vertices of each twin
+    class; the sets skipped give children isomorphic to one that is tried,
+    and the keep rule depends only on the child's class.  Twins have equal
+    degree, so the two filters commute.  A tried set costs one canonical
+    search, and a second one on the deleted graph only when the new vertex
+    is not canonically last and the class is new to this parent.  Across
+    parents the acceptance rule already guarantees disjointness.
     """
     n = parent.n
     parent_code = canonical_form(parent)
-    degrees = [mask.bit_count() for mask in parent.adj_masks]
+    adj = parent.adj_masks
+    degrees = [mask.bit_count() for mask in adj]
     top = max(degrees, default=0)
     top_mask = sum(1 << v for v in range(n) if degrees[v] == top)
+    twin_classes = _twin_classes(adj)
     kept: dict[bytes, Graph] = {}
     rejected: set[bytes] = set()
     for bits in range(1 << n):
         size = bits.bit_count()
         if size < top or (size == top and bits & top_mask):
+            continue
+        # within each class, the picked vertices must be its lowest ones
+        if any(mask & ((1 << (bits & mask).bit_length()) - 1) != bits & mask
+               for mask in twin_classes):
             continue
         child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
         perm = canonical_labeling(child)

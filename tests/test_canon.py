@@ -3,12 +3,14 @@ of distinct classes, and the isomorphism predicate built on top."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
 from conftest import graphs_up_to, random_graph, relabel, unlabeled_graph_count
 
+import idforest.canon as canon
 from idforest import (CANON_MAX_VERTICES, Graph, SizeLimitError,
                       canonical_form, canonical_graph, canonical_labeling,
                       complete_bipartite_graph, cycle_graph, disjoint_union,
@@ -103,6 +105,52 @@ def test_forms_agree_with_networkx_on_a_same_degree_pair():
     two_c6 = disjoint_union(cycle_graph(6), cycle_graph(6))
     assert canonical_form(c12) != canonical_form(two_c6)
     assert not nx.is_isomorphic(to_networkx(nx, c12), to_networkx(nx, two_c6))
+
+
+def reference_refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
+    """The refinement with tuple signatures (old color, then the neighbour
+    count in each cell), ranked through dicts: the slow twin of
+    `canon._refine`."""
+    rank0 = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [rank0[c] for c in colors]
+    while True:
+        masks: dict[int, int] = {}
+        for v in range(n):
+            masks[colors[v]] = masks.get(colors[v], 0) | (1 << v)
+        if len(masks) == n:
+            return colors
+        cell_masks = [masks[c] for c in sorted(masks)]
+        sig = [(colors[v],) + tuple((adj[v] & cm).bit_count() for cm in cell_masks)
+               for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[sig[v]] for v in range(n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_refine_matches_the_tuple_signature_reference():
+    rng = random.Random(61)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        adj = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.8])).adj_masks
+        # `_search` branches on colorings like these: doubled colors, one
+        # of them lowered by one, so -1 occurs
+        for colors in ([0] * n, [rng.randint(-2, 2 * n) for _ in range(n)]):
+            assert canon._refine(n, adj, colors) == reference_refine(n, adj, colors)
+
+
+def test_forms_of_relabelled_level_seven_are_pinned():
+    # The level's representatives are canonical, so the forms of their
+    # relabellings, one per line, hash to the level-7 file digest.
+    rng = random.Random(67)
+    digest = hashlib.sha256()
+    for g in enumerate_graphs(7):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        digest.update(canonical_form(relabel(g, perm)) + b"\n")
+    assert digest.hexdigest() == \
+        "1dd8f91e8ea58c3c9d066fba8bfadccd0fdf4dbb6d5bb7afaa9e596ab366e6fe"
 
 
 def test_size_guard():

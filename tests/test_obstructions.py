@@ -16,7 +16,8 @@ from conftest import unlabeled_graph_count
 
 import idforest.obstructions as obstructions
 from idforest import (Graph, SizeLimitError, bridges, canonical_form,
-                      canonical_graph, canonical_labeling, complete_graph,
+                      canonical_graph, canonical_labeling,
+                      complete_bipartite_graph, complete_graph,
                       cycle_graph, delete_vertex, disjoint_union, enumerate_graphs,
                       family_obstruction_report, gen_marguerite, gen_triangles,
                       graph6_str, graph6_to_graph, idf_decision, idf_exact,
@@ -82,6 +83,17 @@ class TestEnumeration:
                 level = [child for parent in level for child in exhaustive_children(parent)]
             assert [graph6_str(g) for g in enumerate_graphs(n)] == \
                 [graph6_str(g) for g in level]
+
+    @pytest.mark.parametrize("parent", [
+        complete_bipartite_graph(1, 6), complete_bipartite_graph(3, 4), complete_graph(7),
+        disjoint_union(complete_graph(2), complete_graph(2), complete_graph(2), Graph(1)),
+        gen_marguerite(3),
+    ], ids=["K1_6", "K3_4", "K7", "3K2+K1", "marguerite3"])
+    def test_twin_pruning_keeps_every_child(self, parent):
+        parent = canonical_graph(parent)
+        assert obstructions._twin_classes(parent.adj_masks)
+        assert [graph6_str(c) for c in obstructions._augmented_children(parent)] == \
+            [graph6_str(c) for c in exhaustive_children(parent)]
 
     @pytest.mark.parametrize("n,digest", [
         (7, "1dd8f91e8ea58c3c9d066fba8bfadccd0fdf4dbb6d5bb7afaa9e596ab366e6fe"),
