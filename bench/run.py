@@ -1,0 +1,350 @@
+"""Layer benches: one layer of two checkouts of the repository, timed in
+alternating pairs of fresh interpreters.
+
+    python3 bench/run.py LABEL PARENT_DIR [--out BENCH_<LABEL>.json]
+
+The "change" side is the checkout holding this script and the "parent"
+side is PARENT_DIR, any checkout with the package under `src/`.  Each side
+runs this script's worker for LABEL PAIRS times, with `PYTHONPATH` at its
+own `src/`, the parent first on even pairs.  LABEL picks the layer:
+
+- `vc`: `vc_exact` on seeded G(n, p) graphs.  For each point (n, p) and
+  seed 0..4 a run times `vc_exact` on a freshly built graph (the best of a
+  few repeats) and counts branch nodes, i.e. calls of
+  `idforest.vc._vc_component`, in a separate untimed pass that wraps it.
+  The point's time is the median over seeds.
+- `detect`: the marguerite search `minors.marguerite_model`, per (k, n)
+  cell of GRAPHS random labelled trees on n vertices plus 2..5 extra
+  edges, as in the perfbench detect workload.  The cell's time is the sum
+  over its graphs of the best of a few repeats.  A separate untimed pass
+  counts hubs by wrapping `_connected_subsets`: a hub is tried when the
+  hub-level enumeration yields it, and searched when the search goes on to
+  place a petal next to it.  Both sides try the same hubs, since they stop
+  at the same model; hubs cut are the hubs the parent searched and the
+  change did not.
+- `enum`: canonical enumeration.  A run grows levels 0..4 untimed, then
+  times each level n in LEVELS: one serial augmentation of every graph of
+  level n - 1 through `obstructions._augment_worker`.  It counts the
+  neighbour sets tried (calls of `obstructions.with_new_vertex`), the
+  canonical searches (calls of `canon._search`) and the classes kept (the
+  level's length).  Then it times `idforest obstructions --k 2` (the
+  perfbench census) in the same interpreter and counts its canonical
+  searches.  These counters wrap the functions in the timed pass itself:
+  one extra Python call per counted call, about 0.4 us against about
+  140 us a canonical search at level 8.
+
+Counters come from each side's first run.  For each row the file reports
+each side's median and quartiles of the time over all runs, and in how many
+pairs the change was faster (ties count for neither side), next to the
+Python version, the CPU count and each side's `src/` line count.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import tempfile
+from time import perf_counter
+from typing import Callable, NamedTuple
+
+CHANGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 5
+REPEATS = 3
+
+
+def _best_of(build, call) -> tuple[float, object]:
+    """The least time in seconds of REPEATS calls, each on a freshly built
+    (untimed) input, and the last call's result."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        arg = build()
+        t0 = perf_counter()
+        result = call(arg)
+        best = min(best, perf_counter() - t0)
+    return best, result
+
+
+@contextlib.contextmanager
+def _counting(module, name: str, counts: dict):
+    """Count the calls of module.name in counts[name] while the block runs."""
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+
+    setattr(module, name, counted)
+    try:
+        yield
+    finally:
+        setattr(module, name, inner)
+
+
+# ---------------------------------------------------------------------------
+# vc: vc_exact on G(n, p)
+
+POINTS = ((40, 0.15), (64, 0.1), (64, 0.2))
+SEEDS = range(5)
+
+
+def _gnp_edges(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+def measure_vc() -> dict:
+    from idforest import Graph, vc
+    points = []
+    for n, p in POINTS:
+        ms, nodes = [], []
+        for seed in SEEDS:
+            edges = _gnp_edges(n, p, seed)
+            ms.append(_best_of(lambda: Graph(n, edges), vc.vc_exact)[0] * 1e3)
+            counts = {"_vc_component": 0}
+            with _counting(vc, "_vc_component", counts):
+                vc.vc_exact(Graph(n, edges))
+            nodes.append(counts["_vc_component"])
+        points.append({"n": n, "p": p, "seeds": list(SEEDS), "nodes": nodes,
+                       "vc_exact_ms": statistics.median(ms)})
+    return {"points": points}
+
+
+# ---------------------------------------------------------------------------
+# detect: the marguerite search on sparse graphs
+
+CELLS = tuple((k, n) for k in (2, 3) for n in range(9, 13))
+GRAPHS = 8
+
+
+def _sparse_edges(k: int, n: int, i: int) -> list[tuple[int, int]]:
+    """Graph i of cell (k, n): a random labelled tree plus 2 + i % 4 edges."""
+    rng = random.Random(f"marguerite/{k}/{n}/{i}")
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[v], perm[rng.randrange(v)]))) for v in range(1, n)}
+    non_edges = [e for e in itertools.combinations(range(n), 2) if e not in edges]
+    return sorted(edges | set(rng.sample(non_edges, 2 + i % 4)))
+
+
+def _count_hubs(g, k: int) -> tuple[int, int]:
+    """(hubs tried, hubs searched) by one search of g."""
+    from idforest import minors, oracle
+    inner = oracle._connected_subsets
+    full = (1 << g.n) - 1
+    tried = searched = 0
+    hub = 0
+
+    def counted(adj, allowed, max_size):
+        nonlocal tried, searched, hub
+        if allowed == full:
+            for hub in inner(adj, allowed, max_size):
+                tried += 1
+                yield hub
+            return
+        if allowed == full & ~hub:  # the first petal set of this hub
+            searched += 1
+        yield from inner(adj, allowed, max_size)
+
+    # minors imports the generator by name, so both modules are patched
+    for mod in (oracle, minors):
+        mod._connected_subsets = counted
+    try:
+        minors.marguerite_model(g, k)
+    finally:
+        for mod in (oracle, minors):
+            mod._connected_subsets = inner
+    return tried, searched
+
+
+def measure_detect() -> dict:
+    from idforest import Graph, marguerite_model
+    cells = []
+    for k, n in CELLS:
+        ms, found, tried, searched = 0.0, 0, 0, 0
+        for i in range(GRAPHS):
+            edges = _sparse_edges(k, n, i)
+            secs, model = _best_of(lambda: Graph(n, edges), lambda g: marguerite_model(g, k))
+            ms += secs * 1e3
+            found += model is not None
+            t, s = _count_hubs(Graph(n, edges), k)
+            tried += t
+            searched += s
+        cells.append({"k": k, "n": n, "graphs": GRAPHS, "models_found": found,
+                      "hubs_tried": tried, "hubs_searched": searched, "search_ms": ms})
+    return {"cells": cells}
+
+
+# ---------------------------------------------------------------------------
+# enum: canonical enumeration and the k = 2 census
+
+LEVELS = range(5, 9)
+
+
+def measure_enum() -> dict:
+    from idforest import Graph, canon, cli, graph6_str, obstructions
+
+    def grow(level: list[str]) -> list[str]:
+        return [line for parent in level for line in obstructions._augment_worker(parent)]
+
+    counts = {"with_new_vertex": 0, "_search": 0}
+    level = [graph6_str(Graph(0))]
+    for _ in range(LEVELS[0] - 1):
+        level = grow(level)
+    levels = []
+    with _counting(obstructions, "with_new_vertex", counts), \
+            _counting(canon, "_search", counts):
+        for n in LEVELS:
+            counts.update(dict.fromkeys(counts, 0))
+            t0 = perf_counter()
+            level = grow(level)
+            s = perf_counter() - t0
+            levels.append({"n": n, "classes": len(level), "sets": counts["with_new_vertex"],
+                           "searches": counts["_search"], "s": s})
+        counts.update(dict.fromkeys(counts, 0))
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            t0 = perf_counter()
+            cli.main(["obstructions", "--k", "2", "--out", out])
+            census_s = perf_counter() - t0
+    return {"levels": levels, "census": {"searches": counts["_search"], "s": census_s}}
+
+
+# ---------------------------------------------------------------------------
+# the runner
+
+class Layer(NamedTuple):
+    measure: Callable[[], dict]  # one run: {section: row entry or list of them}
+    time_key: str  # the timed field of an entry
+    ids: tuple[str, ...]  # the fields that name a row; the others are counters
+    about: str
+
+
+LAYERS = {
+    "vc": Layer(measure_vc, "vc_exact_ms", ("n", "p", "seeds"),
+                f"vc_exact on G(n, p): median over seeds of the best of {REPEATS} "
+                "calls, branch nodes = _vc_component calls"),
+    "detect": Layer(measure_detect, "search_ms", ("k", "n", "graphs"),
+                    f"marguerite search on {GRAPHS} trees plus 2..5 edges per (k, n) "
+                    f"cell: sum over the cell of the best of {REPEATS} calls; hubs "
+                    "counted through _connected_subsets"),
+    "enum": Layer(measure_enum, "s", ("n",),
+                  "serial canonical augmentation of level n - 1 into level n, one "
+                  "timed pass a run; sets = with_new_vertex calls, searches = "
+                  "canon._search calls; census = idforest obstructions --k 2 in the "
+                  "same interpreter"),
+}
+
+
+def _src_lines(checkout: str) -> int:
+    pkg = os.path.join(checkout, "src", "idforest")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as f:
+                total += sum(1 for _ in f)
+    return total
+
+
+def _run(label: str, checkout: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    out = subprocess.run([sys.executable, os.path.abspath(__file__), label, "--worker"],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3),
+            "runs": [round(v, 3) for v in values]}
+
+
+def _row(layer: Layer, runs: dict[str, list[dict]], pick) -> dict:
+    """One row from the entry `pick` selects in every run of both sides."""
+    entries = {side: [pick(r) for r in rs] for side, rs in runs.items()}
+    first = {side: es[0] for side, es in entries.items()}
+    row = {key: first["change"][key] for key in layer.ids if key in first["change"]}
+    for key in first["change"]:
+        if key not in layer.ids and key != layer.time_key:
+            row[key] = {side: entry[key] for side, entry in first.items()}
+    times = {side: [e[layer.time_key] for e in es] for side, es in entries.items()}
+    row[layer.time_key] = {side: _summary(t) for side, t in times.items()}
+    wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    row["change_faster_pairs"] = f"{wins}/{PAIRS}"
+    return row
+
+
+def compare(label: str, parent: str) -> dict:
+    layer = LAYERS[label]
+    sides = {"parent": parent, "change": CHANGE_DIR}
+    runs: dict[str, list[dict]] = {side: [] for side in sides}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(_run(label, sides[side]))
+            print(f"pair {i + 1}/{PAIRS}: {side} done", file=sys.stderr)
+    result = {
+        "bench": layer.about,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "pairs": PAIRS,
+        "src_lines": {side: _src_lines(d) for side, d in sides.items()},
+    }
+    for section, value in runs["change"][0].items():
+        many = isinstance(value, list)
+        picks = ([lambda r, i=i: r[section][i] for i in range(len(value))] if many
+                 else [lambda r: r[section]])
+        rows = [_row(layer, runs, pick) for pick in picks]
+        for row in rows:
+            if label == "detect":
+                row["hubs_cut"] = row["hubs_searched"]["parent"] - row["hubs_searched"]["change"]
+            print(f"{section}: {_line(row)}")
+        result[section] = rows if many else rows[0]
+    return result
+
+
+def _line(row: dict) -> str:
+    """Names as key=value, counters and times as parent -> change (times by
+    their medians)."""
+    parts = []
+    for key, field in row.items():
+        if isinstance(field, dict):
+            before, after = field["parent"], field["change"]
+            if isinstance(before, dict):
+                before, after = before["median"], after["median"]
+            parts.append(f"{key} {before} -> {after}")
+        else:
+            parts.append(f"{key}={field}")
+    return ", ".join(parts)
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("label", choices=LAYERS, help="the layer to bench")
+    ap.add_argument("parent", nargs="?", help="checkout to compare against")
+    ap.add_argument("--out", help="output file (default BENCH_<LABEL>.json at the "
+                                  "repository root)")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        json.dump(LAYERS[args.label].measure(), sys.stdout)
+        return
+    if args.parent is None:
+        ap.error("a parent checkout is required")
+    result = compare(args.label, os.path.abspath(args.parent))
+    out = args.out or os.path.join(CHANGE_DIR, f"BENCH_{args.label}.json")
+    with open(out, "w", encoding="utf-8") as f:
+        json.dump(result, f, indent=2)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -60,22 +60,28 @@ def _augment(adj: tuple[int, ...], alive: int, mate: dict, u: int) -> bool:
     The bipartite double cover of the subgraph the mask `alive` induces has
     each vertex x on the left and its copy x' on the right, and x-y' for each
     edge xy.  `mate` is a matching of it, right copy -> left vertex.  The
-    search is depth first, lowest neighbour first; True iff a path was found.
+    search is depth first, lowest neighbour first, on an explicit stack so
+    that paths of any length fit; True iff a path was found.
     """
     visited = 0
-
-    def search(x: int) -> bool:
-        nonlocal visited
-        while cand := adj[x] & alive & ~visited:
+    path: list[tuple[int, int]] = []  # (left vertex, right copy it went on through)
+    x = u
+    while True:
+        if cand := adj[x] & alive & ~visited:
             low = cand & -cand
             visited |= low
             w = low.bit_length() - 1
-            if w not in mate or search(mate[w]):
+            if w not in mate:
                 mate[w] = x
+                for left, right in path:
+                    mate[right] = left
                 return True
-        return False
-
-    return search(u)
+            path.append((x, w))
+            x = mate[w]
+        elif path:
+            x = path.pop()[0]
+        else:
+            return False
 
 
 def _double_cover_min_cover(g: Graph) -> tuple[int, int]:

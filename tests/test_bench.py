@@ -1,0 +1,46 @@
+"""The layer-bench workers: each runs in a fresh interpreter and reports
+work counters that are read by wrapping private functions, so a renamed
+function must fail here rather than leave a counter at zero."""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def worker(label: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), label, "--worker"],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_vc_worker_counts_branch_nodes():
+    run = worker("vc")
+    assert list(run) == ["points"]
+    assert [(p["n"], p["p"]) for p in run["points"]] == [(40, 0.15), (64, 0.1), (64, 0.2)]
+    for point in run["points"]:
+        assert set(point) == {"n", "p", "seeds", "nodes", "vc_exact_ms"}
+        assert len(point["nodes"]) == len(point["seeds"]) == 5
+        assert all(nodes > 0 for nodes in point["nodes"])
+        assert point["vc_exact_ms"] > 0
+
+
+def test_detect_worker_counts_hubs():
+    run = worker("detect")
+    assert list(run) == ["cells"]
+    assert len(run["cells"]) == 8
+    for cell in run["cells"]:
+        assert set(cell) == {"k", "n", "graphs", "models_found", "hubs_tried",
+                             "hubs_searched", "search_ms"}
+        assert cell["hubs_tried"] > 0
+        # a model puts petals next to its hub, so that hub was searched; a
+        # cell without a model may have every hub cut
+        assert cell["hubs_searched"] >= cell["models_found"]
+        assert cell["search_ms"] > 0
+    assert sum(cell["models_found"] for cell in run["cells"]) > 0

@@ -14,8 +14,8 @@ import idforest.canon as canon
 from idforest import (CANON_MAX_VERTICES, Graph, SizeLimitError,
                       canonical_form, canonical_graph, canonical_labeling,
                       complete_bipartite_graph, cycle_graph, disjoint_union,
-                      enumerate_graphs, gen_marguerite, is_isomorphic,
-                      path_graph)
+                      enumerate_graphs, gen_antichain_h, gen_marguerite,
+                      is_isomorphic, path_graph)
 
 
 def test_invariant_over_full_orbit_up_to_5_vertices():
@@ -85,7 +85,8 @@ def to_networkx(nx, g: Graph):
 
 
 @pytest.mark.parametrize("g", [cycle_graph(12), complete_bipartite_graph(6, 6),
-                               gen_marguerite(3)], ids=["C12", "K6_6", "marguerite3"])
+                               gen_marguerite(3), gen_antichain_h(3)],
+                         ids=["C12", "K6_6", "marguerite3", "H3"])
 def test_forms_agree_with_networkx_under_relabeling(g):
     nx = pytest.importorskip("networkx")
     rng = random.Random(59)

@@ -10,7 +10,8 @@ import sys
 
 import pytest
 
-from idforest import graph6_to_graph, is_isomorphic, gen_marguerite
+from idforest import (Graph, cycle_graph, edge_list_str, gen_marguerite,
+                      graph6_to_graph, is_isomorphic)
 from idforest.cli import main
 
 
@@ -107,6 +108,24 @@ class TestKernel:
         status, out = run(capsys, "kernel", "Dhc", "--k", "2")
         assert status == 1
         assert "verdict: no instance" in out
+
+    def test_large_edge_lists_get_a_verdict(self, tmp_path, capsys):
+        # both need augmenting paths over a thousand vertices long
+        cycle = tmp_path / "c3000.edges"
+        cycle.write_text(edge_list_str(cycle_graph(3000)))
+        status, payload = run_json(capsys, "kernel", str(cycle), "--format", "edgelist",
+                                   "--k", "300")
+        assert status == 1
+        assert payload == {"budget": 1, "decided_no": True, "graph6": "Bw"}
+        # a vertex 3000 joined to 0 and 2 makes the cycle's even side the
+        # cover, so the kernel is empty
+        eared = tmp_path / "eared.edges"
+        eared.write_text(edge_list_str(
+            Graph(3001, list(cycle_graph(3000).edges) + [(0, 3000), (2, 3000)])))
+        status, payload = run_json(capsys, "kernel", str(eared), "--format", "edgelist",
+                                   "--k", "1500")
+        assert status == 0
+        assert payload == {"budget": 0, "decided_no": False, "graph6": "?"}
 
 
 class TestVc:

@@ -252,6 +252,16 @@ class TestPrunedScan:
         predicate = obstructions._predicate_for(kind, k)
         assert report.graph6_lines() == full_scan(predicate, max_n)
 
+    @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
+                                        ("idf", 0), ("idf", 1)])
+    def test_one_level_past_the_bound_finds_nothing_new(self, kind, k):
+        # cover obstructions have at most 2k+2 vertices, identification
+        # obstructions at most 2k+4 (the paper's bound)
+        bound = 2 * k + 2 if kind == "vc" else 2 * k + 4
+        scans = [obstructions._scan(kind, k, n, workers=1, checkpoint_dir=None)
+                 for n in (bound, bound + 1)]
+        assert [graph6_str(g) for g in scans[1]] == [graph6_str(g) for g in scans[0]]
+
     def test_skipped_children_are_never_minimal(self):
         skipped = {"vc": 0, "idf": 0}
         for n in range(1, 8):

@@ -242,6 +242,13 @@ class TestKernelPipeline:
                 assert ki.budget <= k + 1
                 assert not bridges(ki.graph)
 
+    def test_long_augmenting_paths_do_not_overflow_the_stack(self):
+        # the double cover of a long cycle needs augmenting paths over a
+        # thousand vertices long; the whole cycle is half-valued and survives
+        ki = idf_kernel(cycle_graph(5000), 2500)
+        assert ki.graph == cycle_graph(5000)
+        assert ki.budget == 2500 and not ki.decided_no
+
     def test_decision_equivalence(self, catalog6):
         for g in catalog6:
             value = idf_exact(g).value
