@@ -29,9 +29,11 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   canonical searches (calls of `canon._search`) and the classes kept (the
   level's length).  Then it times `idforest obstructions --k 2` (the
   perfbench census) in the same interpreter and counts its canonical
-  searches.  These counters wrap the functions in the timed pass itself:
-  one extra Python call per counted call, about 0.4 us against about
-  140 us a canonical search at level 8.
+  searches and its `vc.nt_kernel` calls.  A counted function is wrapped in
+  every module that binds it, so calls through a name imported from `canon`
+  or `vc` are counted too.  These counters wrap the functions in the timed
+  pass itself: one extra Python call per counted call, about 0.4 us against
+  about 140 us a canonical search at level 8.
 
 Counters come from each side's first run.  For each row the file reports
 each side's median and quartiles of the time over all runs, and in how many
@@ -75,19 +77,24 @@ def _best_of(build, call) -> tuple[float, object]:
 
 
 @contextlib.contextmanager
-def _counting(module, name: str, counts: dict):
-    """Count the calls of module.name in counts[name] while the block runs."""
-    inner = getattr(module, name)
+def _counting(name: str, counts: dict, *modules):
+    """Count the calls of the function `name` in counts[name] while the block
+    runs.  It is patched in each of modules that binds it: a module that
+    imported it by name calls its own reference, not the defining module's."""
+    bound = [module for module in modules if hasattr(module, name)]
+    inner = getattr(bound[0], name)
 
     def counted(*args, **kwargs):
         counts[name] += 1
         return inner(*args, **kwargs)
 
-    setattr(module, name, counted)
+    for module in bound:
+        setattr(module, name, counted)
     try:
         yield
     finally:
-        setattr(module, name, inner)
+        for module in bound:
+            setattr(module, name, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +118,7 @@ def measure_vc() -> dict:
             edges = _gnp_edges(n, p, seed)
             ms.append(_best_of(lambda: Graph(n, edges), vc.vc_exact)[0] * 1e3)
             counts = {"_vc_component": 0}
-            with _counting(vc, "_vc_component", counts):
+            with _counting("_vc_component", counts, vc):
                 vc.vc_exact(Graph(n, edges))
             nodes.append(counts["_vc_component"])
         points.append({"n": n, "p": p, "seeds": list(SEEDS), "nodes": nodes,
@@ -191,18 +198,19 @@ LEVELS = range(5, 9)
 
 
 def measure_enum() -> dict:
-    from idforest import Graph, canon, cli, graph6_str, obstructions
+    from idforest import Graph, canon, cli, graph6_str, obstructions, solver, vc
 
     def grow(level: list[str]) -> list[str]:
         return [line for parent in level for line in obstructions._augment_worker(parent)]
 
-    counts = {"with_new_vertex": 0, "_search": 0}
+    counts = {"with_new_vertex": 0, "_search": 0, "nt_kernel": 0}
     level = [graph6_str(Graph(0))]
     for _ in range(LEVELS[0] - 1):
         level = grow(level)
     levels = []
-    with _counting(obstructions, "with_new_vertex", counts), \
-            _counting(canon, "_search", counts):
+    with _counting("with_new_vertex", counts, obstructions), \
+            _counting("_search", counts, canon, obstructions), \
+            _counting("nt_kernel", counts, vc, solver):
         for n in LEVELS:
             counts.update(dict.fromkeys(counts, 0))
             t0 = perf_counter()
@@ -215,7 +223,8 @@ def measure_enum() -> dict:
             t0 = perf_counter()
             cli.main(["obstructions", "--k", "2", "--out", out])
             census_s = perf_counter() - t0
-    return {"levels": levels, "census": {"searches": counts["_search"], "s": census_s}}
+    return {"levels": levels, "census": {"searches": counts["_search"],
+                                         "nt_kernel": counts["nt_kernel"], "s": census_s}}
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +248,8 @@ LAYERS = {
     "enum": Layer(measure_enum, "s", ("n",),
                   "serial canonical augmentation of level n - 1 into level n, one "
                   "timed pass a run; sets = with_new_vertex calls, searches = "
-                  "canon._search calls; census = idforest obstructions --k 2 in the "
-                  "same interpreter"),
+                  "_search calls; census = idforest obstructions --k 2 in the same "
+                  "interpreter, with its _search and nt_kernel calls"),
 }
 
 

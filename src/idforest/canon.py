@@ -82,14 +82,14 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return adj[u] == adj[v] or (adj[u] | (1 << u)) == (adj[v] | (1 << v))
 
 
-def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Minimum encoding over the refinement tree, with the winning labeling."""
+def _search(n: int, adj: tuple[int, ...], refined: list[int] | None = None) -> tuple[int, list[int]]:
+    """Minimum encoding over the refinement tree, with the winning labeling;
+    `refined` is the root colouring `_refine(n, adj, [0] * n)` if known."""
     total_bits = n * (n - 1) // 2
     best_enc: list = [None]
     best_perm: list = [None]
 
     def rec(colors: list[int]):
-        colors = _refine(n, adj, colors)
         t, pbits, plen = _prefix_bits(n, adj, colors)
         if best_enc[0] is not None and plen:
             ref = best_enc[0] >> (total_bits - plen)
@@ -114,9 +114,9 @@ def _search(n: int, adj: tuple[int, ...]) -> tuple[int, list[int]]:
             reps.append(u)
             branched = [c * 2 for c in colors]
             branched[u] -= 1
-            rec(branched)
+            rec(_refine(n, adj, branched))
 
-    rec([0] * n)
+    rec(refined or _refine(n, adj, [0] * n))
     return best_enc[0] if best_enc[0] is not None else 0, best_perm[0] or []
 
 

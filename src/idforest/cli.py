@@ -98,9 +98,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_kernel(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     ki = idf_kernel(g, args.k)
-    payload = {"graph6": graph6_str(ki.graph), "budget": ki.budget,
-               "decided_no": ki.decided_no}
-    lines = [f"kernel: {graph6_str(ki.graph)}",
+    code = graph6_str(ki.graph)
+    payload = {"graph6": code, "budget": ki.budget, "decided_no": ki.decided_no}
+    lines = [f"kernel: {code}",
              f"budget: {ki.budget}",
              f"vertices: {ki.graph.n}"]
     if ki.decided_no:

@@ -4,18 +4,20 @@ Graphs are enumerated one isomorphism class at a time by canonical
 augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a child on
 n+1 vertices is kept exactly when deleting its canonical last vertex
 reproduces the parent it was grown from, so no global seen-set is needed and
-independent branches parallelize trivially.  Only attachments that give the
-new vertex maximum degree are tried, because canonical refinement keeps cell
-order and so puts a maximum-degree vertex last.  `enumerate_graphs` reaches
-9 vertices and recomputes the levels below n on every call.
+independent branches parallelize trivially.  Only children whose new vertex
+lies in the last cell of their refined colouring are searched (McKay's
+vertex-invariant test): refinement keeps cell order and so puts the
+canonical last vertex there.  `enumerate_graphs` reaches 9 vertices and
+recomputes the levels below n on every call.
 
 The obstruction scans find the minor-minimal graphs outside "vertex cover at
 most k" and outside "identification distance to a forest at most k".  Both
 classes are minor-closed and a child's canonical parent is a proper minor of
 it, so a scan augments only the members of each level, never the full level:
 a child inside the class joins the next level, and a child outside it is
-tested against its one-step minors.  Holding only its members, a scan reaches
-its 2k+2 or 2k+4 vertex bound (10 vertices for idf at k = 3) past the
+tested against its edge deletions and contractions, which imply its vertex
+deletions when it has no isolated vertex.  Holding only its members, a scan
+reaches its 2k+2 or 2k+4 vertex bound (10 vertices for idf at k = 3) past the
 enumerator's limit.  The minimality test is skipped for a child with an
 isolated vertex, and for idf also for a child with a bridge, because deleting
 that vertex or bridge leaves a proper minor still outside the class.  On top
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 
-from .canon import _twins, canonical_form, canonical_labeling
+from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
 from .graph import (Graph, _relabel, bridges, connected_components,
                     contract_edge, delete_edge, delete_vertex, disjoint_union,
@@ -72,19 +74,21 @@ def _augmented_children(parent: Graph) -> list[Graph]:
     """Canonical children of a canonical parent, sorted by canonical code.
 
     A child is kept when deleting the vertex that its own canonical labeling
-    puts last gives back the parent's class.  `_refine` keeps cell order and
-    its first pass ranks vertices by degree, so that last vertex lies in the
-    highest-degree cell.  A neighbour set is therefore tried only when the new
-    vertex has maximum degree in the child: each kept class is still reached
-    through the set that makes the new vertex its canonical last vertex.
-    Swapping two twins of the parent is an automorphism of it, so a set is
-    also tried only when it takes the lowest-labelled vertices of each twin
-    class; the sets skipped give children isomorphic to one that is tried,
-    and the keep rule depends only on the child's class.  Twins have equal
-    degree, so the two filters commute.  A tried set costs one canonical
-    search, and a second one on the deleted graph only when the new vertex
-    is not canonically last and the class is new to this parent.  Across
-    parents the acceptance rule already guarantees disjointness.
+    puts last gives back the parent's class.  `_refine` keeps cell order, so
+    that vertex lies in the last cell of the child's refined colouring, and
+    its first pass ranks by degree, so that cell has maximum degree.  A
+    neighbour set is therefore tried only when the new vertex has maximum
+    degree, and searched only when the new vertex lies in the last cell:
+    each kept class is still reached through the set that makes the new
+    vertex its canonical last vertex.  Swapping two twins of the parent is
+    an automorphism of it, so a set is also tried only when it takes the
+    lowest-labelled vertices of each twin class; a set skipped gives a child
+    isomorphic to a tried one by a map fixing the new vertex, and the keep
+    rule depends only on the child's class.  A searched child costs one
+    canonical search from its refined colouring, and a second one on the
+    deleted graph only when the new vertex is not canonically last and the
+    class is new to this parent.  Across parents the acceptance rule already
+    guarantees disjointness.
     """
     n = parent.n
     parent_code = canonical_form(parent)
@@ -104,7 +108,10 @@ def _augmented_children(parent: Graph) -> list[Graph]:
                for mask in twin_classes):
             continue
         child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
-        perm = canonical_labeling(child)
+        colors = _refine(n + 1, child.adj_masks, [0] * (n + 1))
+        if colors[n] != max(colors):
+            continue
+        _, perm = _search(n + 1, child.adj_masks, colors)
         rep = _relabel(child, perm)
         code = graph6_bytes(rep)
         if code in kept or code in rejected:
@@ -238,6 +245,13 @@ def _skips_minimality(child: Graph, kind: str) -> bool:
     return not all(child.adj_masks) or (kind == "idf" and bool(bridges(child)))
 
 
+def _edge_minors(g: Graph) -> Iterator[Graph]:
+    """The minors one edge deletion or contraction away."""
+    for e in sorted(g.edges):
+        yield delete_edge(g, e)
+        yield contract_edge(g, e)
+
+
 def _scan_worker(parent_line: str, kind: str, k: int) -> tuple[list[str], list[str]]:
     """The member children and the minor-minimal non-member children of one
     member parent, as graph6 lines in the parent's child order."""
@@ -248,7 +262,7 @@ def _scan_worker(parent_line: str, kind: str, k: int) -> tuple[list[str], list[s
         if predicate(child):
             members.append(graph6_str(child))
         elif not _skips_minimality(child, kind) and \
-                all(predicate(h) for h in one_step_minors(child)):
+                all(predicate(h) for h in _edge_minors(child)):
             found.append(graph6_str(child))
     return members, found
 

@@ -265,6 +265,12 @@ def vc_exact(g: Graph) -> VcSolution:
 
 
 def vc_decision(g: Graph, k: int) -> bool:
-    """True iff g has a vertex cover of size at most k."""
+    """True iff g has a vertex cover of size at most k.  Up to VC_MAX_VERTICES
+    vertices one branching call with cap k decides it, with the LP cut at
+    every component; larger graphs go through `nt_kernel`, then `vc_exact`."""
+    if k < 0:
+        raise ValueError(f"budget must be non-negative, got {k}")
+    if g.n <= VC_MAX_VERTICES:
+        return _vc_split(g.adj_masks, (1 << g.n) - 1, k) is not None
     ki = nt_kernel(g, k)
     return vc_exact(ki.graph).value <= ki.budget

@@ -279,6 +279,26 @@ class TestPrunedScan:
                             g, obstructions._predicate_for(kind, k)), (kind, k, g)
         assert skipped["vc"] < skipped["idf"]
 
+    def test_edge_minors_decide_minimality(self):
+        # the scans test a failing child with no isolated vertex on its edge
+        # minors only; every G - v is then a subgraph of some G - e
+        tested = minimal = 0
+        for n in range(1, 8):
+            for g in enumerate_graphs(n):
+                if not all(g.adj_masks):
+                    continue
+                for kind, budgets in (("vc", range(3)), ("idf", range(2))):
+                    for k in budgets:
+                        predicate = obstructions._predicate_for(kind, k)
+                        if predicate(g):
+                            continue
+                        edge_test = all(predicate(h) for h in obstructions._edge_minors(g))
+                        assert edge_test == is_minor_minimal(g, predicate), \
+                            (kind, k, graph6_str(g))
+                        tested += 1
+                        minimal += edge_test
+        assert (tested, minimal) == (5080, 9)
+
 
 class TestBudgetThreeCatalogs:
     """The k = 3 catalogs of `idforest obstructions --k 3 --long-run`,

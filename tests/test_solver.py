@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idforest import (Graph, VertexPartition, apex_bridgeless, bridges,
-                      brute_vc, complete_graph, cycle_graph, disjoint_union,
+                      brute_vc, complete_bipartite_graph, complete_graph,
+                      cycle_graph, disjoint_union,
                       gen_marguerite, gen_triangles, identify_partition,
                       idf_decision, idf_exact, idf_kernel, is_forest,
                       is_id_forest_partition, is_isomorphic,
@@ -139,6 +140,57 @@ class TestDecision:
             value = idf_exact(g).value
             for k in range(g.n + 2):
                 assert idf_decision(g, k) == (k >= value)
+
+
+def gnp_graphs() -> list[Graph]:
+    """Seeded G(n, p) for n = 20..64, past brute_idf's reach."""
+    rng = random.Random(2064)
+    return [random_graph(rng, n, rng.uniform(0.06, 0.2)) for n in range(20, 65, 4)]
+
+
+def beyond_vc_limit() -> tuple[Graph, int]:
+    """75 vertices: five 10-leaf stars, all bridges, next to a G(20, p); and
+    its identification number, that of the random part."""
+    part = random_graph(random.Random(2065), 20, 0.25)
+    return (disjoint_union(*[complete_bipartite_graph(1, 10)] * 5, part),
+            idf_exact(part).value)
+
+
+class TestWhereTheBranchingRuns:
+    """The decision and the 2k+1 kernel against `idf_exact` on seeded graphs
+    of 20..64 vertices, and above VC_MAX_VERTICES."""
+
+    def test_decision_agrees_with_exact_value(self):
+        for g in gnp_graphs():
+            value = idf_exact(g).value
+            assert value >= 2, g.n
+            assert not idf_decision(g, value - 1), g.n
+            assert idf_decision(g, value), g.n
+
+    def test_decision_above_the_cover_limit(self):
+        g, value = beyond_vc_limit()
+        assert g.n == 75 and value >= 2
+        assert not idf_decision(g, value - 1)
+        assert idf_decision(g, value)
+
+    @pytest.mark.parametrize("g", [Graph(1), Graph(75)], ids=["n1", "n75"])
+    def test_negative_budget_rejected(self, g):
+        with pytest.raises(ValueError):
+            idf_decision(g, -1)
+
+    def test_kernel_bounds_and_decision_equivalence(self):
+        cases = [(g, idf_exact(g).value) for g in gnp_graphs()]
+        cases.append(beyond_vc_limit())
+        for g, value in cases:
+            for k in range(value + 2):
+                ki = idf_kernel(g, k)
+                if k == 0 and ki.decided_no:
+                    # the one exception to 2k+1: the canonical no-instance
+                    assert ki.graph == complete_graph(3) and ki.budget == 1
+                else:
+                    assert ki.graph.n <= 2 * k + 1, (g.n, k)
+                assert ki.budget <= k + 1
+                assert idf_decision(ki.graph, ki.budget) == (value <= k), (g.n, k)
 
 
 class TestPartitionFromCover:

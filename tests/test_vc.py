@@ -257,3 +257,43 @@ class TestCoverDecision:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             vc_decision(Graph(1), -1)
+
+
+class TestCoverDecisionWhereTheBranchingRuns:
+    """The direct decision against `vc_exact` at n = 20..64, past brute_vc's
+    reach, and the kernel path above VC_MAX_VERTICES."""
+
+    @staticmethod
+    def count_kernels(monkeypatch) -> list:
+        sizes = []
+        inner = vc.nt_kernel
+
+        def counted(g, k):
+            sizes.append(g.n)
+            return inner(g, k)
+
+        monkeypatch.setattr(vc, "nt_kernel", counted)
+        return sizes
+
+    def test_agrees_with_exact_value(self, monkeypatch):
+        sizes = self.count_kernels(monkeypatch)
+        rng = random.Random(2064)
+        for n in range(20, 65, 4):
+            g = random_graph(rng, n, rng.uniform(0.08, 0.3))
+            value = vc_exact(g).value
+            assert not vc_decision(g, value - 1), f"n={n}"
+            assert vc_decision(g, value), f"n={n}"
+        assert sizes == []
+
+    def test_larger_graphs_go_through_the_kernel(self, monkeypatch):
+        # five stars put their centres in V1 and their leaves in V0, so the
+        # kernel is at most the random part
+        part = random_graph(random.Random(2065), 20, 0.2)
+        g = disjoint_union(*[star(10)] * 5, part)
+        value = 5 + vc_exact(part).value
+        sizes = self.count_kernels(monkeypatch)
+        assert not vc_decision(g, value - 1)
+        assert vc_decision(g, value)
+        assert sizes == [75, 75]
+        with pytest.raises(ValueError):
+            vc_decision(g, -1)
