@@ -275,33 +275,42 @@ def _low_link(adj: Sequence[int]) -> tuple[EdgeSet, frozenset]:
     n = len(adj)
     disc = [-1] * n
     low = [0] * n
+    rest = list(adj)  # the neighbours each vertex has still to look at
     bridge_set: set = set()
     cut: set = set()
     counter = 0
     for root in range(n):
         if disc[root] != -1:
             continue
-        # iterative DFS; stack entries are (vertex, parent, neighbor iterator)
+        # iterative DFS, lowest neighbour first; a vertex's frame is its
+        # entry in rest, walked one lowest bit at a time
         disc[root] = low[root] = counter
         counter += 1
         root_children = 0
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, _bits(adj[root]))]
+        stack = [root]
         while stack:
-            u, parent, it = stack[-1]
-            for w in it:
-                if w == parent:
-                    continue  # simple graph: the one parent edge, met once
+            u = stack[-1]
+            todo = rest[u]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                w = bit.bit_length() - 1
                 if disc[w] == -1:
+                    rest[u] = todo
+                    # simple graph: the one parent edge, never walked back
+                    rest[w] ^= 1 << u
                     disc[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, u, _bits(adj[w])))
+                    stack.append(w)
                     break
-                low[u] = min(low[u], disc[w])
+                if disc[w] < low[u]:
+                    low[u] = disc[w]
             else:
                 stack.pop()
                 if stack:
-                    p = stack[-1][0]
-                    low[p] = min(low[p], low[u])
+                    p = stack[-1]
+                    if low[u] < low[p]:
+                        low[p] = low[u]
                     if low[u] > disc[p]:
                         bridge_set.add(_norm_edge(p, u))
                     if p == root:

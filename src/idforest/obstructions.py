@@ -18,12 +18,12 @@ a child inside the class joins the next level, and a child outside it is
 tested against its edge deletions and contractions, which imply its vertex
 deletions when it has no isolated vertex.  Holding only its members, a scan
 reaches its 2k+2 or 2k+4 vertex bound (10 vertices for idf at k = 3) past the
-enumerator's limit.  The minimality test is skipped for a child with an
-isolated vertex, and for idf also for a child with a bridge, because deleting
-that vertex or bridge leaves a proper minor still outside the class.  On top
-of the scans sit a battery of structural cross-checks relating the two sets,
-and a report reconciling the three named families against the computed
-ground truth.
+enumerator's limit.  A scan classifies each tried child on its raw labelling
+(`_classify`) before any canonical work: membership and minimality depend
+only on the class, so a child that is neither a member nor a minimal
+non-member is dropped before it is refined or searched.  On top of the scans
+sit a battery of structural cross-checks relating the two sets, and a report
+reconciling the three named families against the computed ground truth.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
 from .graph import (Graph, _relabel, bridges, connected_components,
                     contract_edge, delete_edge, delete_vertex, disjoint_union,
-                    induced_subgraph, is_2_connected, with_new_vertex)
+                    induced_subgraph, is_2_connected, remove_bridges,
+                    with_new_vertex)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
@@ -70,8 +71,17 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [mask for mask in classes if mask & (mask - 1)]
 
 
-def _augmented_children(parent: Graph) -> list[Graph]:
-    """Canonical children of a canonical parent, sorted by canonical code.
+def _augmented_children(parent: Graph,
+                        classify: Callable[[Graph], bool | None] | None = None
+                        ) -> list[tuple[Graph, bool]]:
+    """Canonical children of a canonical parent with their verdicts, sorted
+    by canonical code.
+
+    Each tried child is first passed, in its raw labelling, to `classify`,
+    which must depend only on the child's class: a child it returns None for
+    is dropped before any canonical work, and any other verdict comes back
+    with the kept child.  Without a classifier every child is kept, with
+    verdict True.
 
     A child is kept when deleting the vertex that its own canonical labeling
     puts last gives back the parent's class.  `_refine` keeps cell order, so
@@ -97,7 +107,7 @@ def _augmented_children(parent: Graph) -> list[Graph]:
     top = max(degrees, default=0)
     top_mask = sum(1 << v for v in range(n) if degrees[v] == top)
     twin_classes = _twin_classes(adj)
-    kept: dict[bytes, Graph] = {}
+    kept: dict[bytes, tuple[Graph, bool]] = {}
     rejected: set[bytes] = set()
     for bits in range(1 << n):
         size = bits.bit_count()
@@ -108,6 +118,9 @@ def _augmented_children(parent: Graph) -> list[Graph]:
                for mask in twin_classes):
             continue
         child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
+        verdict = True if classify is None else classify(child)
+        if verdict is None:
+            continue
         colors = _refine(n + 1, child.adj_masks, [0] * (n + 1))
         if colors[n] != max(colors):
             continue
@@ -118,7 +131,7 @@ def _augmented_children(parent: Graph) -> list[Graph]:
             continue
         drop = perm.index(n)
         if drop == n or canonical_form(delete_vertex(child, drop)) == parent_code:
-            kept[code] = rep
+            kept[code] = rep, verdict
         else:
             rejected.add(code)
     return [kept[code] for code in sorted(kept)]
@@ -126,7 +139,7 @@ def _augmented_children(parent: Graph) -> list[Graph]:
 
 def _augment_worker(parent_line: str) -> list[str]:
     children = _augmented_children(graph6_to_graph(parent_line))
-    return [graph6_str(c) for c in children]
+    return [graph6_str(child) for child, _ in children]
 
 
 def _pmap(fn: Callable, items: list, workers: int) -> Iterator:
@@ -238,13 +251,6 @@ def _predicate_for(kind: str, k: int) -> Predicate:
     return partial(vc_decision if kind == "vc" else idf_decision, k=k)
 
 
-def _skips_minimality(child: Graph, kind: str) -> bool:
-    """A failing child with an isolated vertex is not minimal, since deleting
-    that vertex changes neither value.  Nor is a failing child with a bridge
-    for idf, since bridge removal preserves the identification number."""
-    return not all(child.adj_masks) or (kind == "idf" and bool(bridges(child)))
-
-
 def _edge_minors(g: Graph) -> Iterator[Graph]:
     """The minors one edge deletion or contraction away."""
     for e in sorted(g.edges):
@@ -252,18 +258,35 @@ def _edge_minors(g: Graph) -> Iterator[Graph]:
         yield contract_edge(g, e)
 
 
+def _classify(child: Graph, kind: str, k: int) -> bool | None:
+    """True for a member, False for a minor-minimal non-member, None for any
+    other child.  A non-member with an isolated vertex is not minimal, since
+    deleting that vertex changes neither value.  Nor is an idf non-member
+    with a bridge, since bridge removal preserves the identification number:
+    the bridgeless core that decides membership differs from the child
+    exactly then."""
+    if kind == "idf":
+        core = remove_bridges(child)
+        if vc_decision(core, k):
+            return True
+        if core != child:
+            return None
+    elif vc_decision(child, k):
+        return True
+    if not all(child.adj_masks):
+        return None
+    predicate = _predicate_for(kind, k)
+    return False if all(predicate(h) for h in _edge_minors(child)) else None
+
+
 def _scan_worker(parent_line: str, kind: str, k: int) -> tuple[list[str], list[str]]:
     """The member children and the minor-minimal non-member children of one
     member parent, as graph6 lines in the parent's child order."""
-    predicate = _predicate_for(kind, k)
     members: list[str] = []
     found: list[str] = []
-    for child in _augmented_children(graph6_to_graph(parent_line)):
-        if predicate(child):
-            members.append(graph6_str(child))
-        elif not _skips_minimality(child, kind) and \
-                all(predicate(h) for h in _edge_minors(child)):
-            found.append(graph6_str(child))
+    classify = partial(_classify, kind=kind, k=k)
+    for child, member in _augmented_children(graph6_to_graph(parent_line), classify):
+        (members if member else found).append(graph6_str(child))
     return members, found
 
 

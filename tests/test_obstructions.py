@@ -92,7 +92,7 @@ class TestEnumeration:
     def test_twin_pruning_keeps_every_child(self, parent):
         parent = canonical_graph(parent)
         assert obstructions._twin_classes(parent.adj_masks)
-        assert [graph6_str(c) for c in obstructions._augmented_children(parent)] == \
+        assert [graph6_str(c) for c, _ in obstructions._augmented_children(parent)] == \
             [graph6_str(c) for c in exhaustive_children(parent)]
 
     @pytest.mark.parametrize("n,digest", [
@@ -224,7 +224,7 @@ class TestObstructionScans:
                                for n in range(1, 7) for part in ("found", "members"))
         assert (tmp_path / "scan-vc-k2-n5.found.g6").read_text() == "D`K\nDLo\n"
 
-        def no_augmentation(parent):
+        def no_augmentation(parent, classify=None):
             raise AssertionError("a checkpointed level was scanned again")
 
         monkeypatch.setattr(obstructions, "_augmented_children", no_augmentation)
@@ -263,6 +263,8 @@ class TestPrunedScan:
         assert [graph6_str(g) for g in scans[1]] == [graph6_str(g) for g in scans[0]]
 
     def test_skipped_children_are_never_minimal(self):
+        # _classify drops a non-member with an isolated vertex, or for idf
+        # with a bridge, without testing its minors
         skipped = {"vc": 0, "idf": 0}
         for n in range(1, 8):
             for g in enumerate_graphs(n):
@@ -270,14 +272,37 @@ class TestPrunedScan:
                 bridged = bool(bridges(g))
                 for kind in ("vc", "idf"):
                     skip = isolated or (kind == "idf" and bridged)
-                    assert obstructions._skips_minimality(g, kind) == skip
-                    if not skip:
-                        continue
-                    skipped[kind] += 1
                     for k in range(3):
-                        assert not is_minor_minimal(
-                            g, obstructions._predicate_for(kind, k)), (kind, k, g)
+                        predicate = obstructions._predicate_for(kind, k)
+                        if predicate(g):
+                            assert obstructions._classify(g, kind, k) is True
+                            continue
+                        minimal = is_minor_minimal(g, predicate)
+                        assert obstructions._classify(g, kind, k) == \
+                            (False if minimal else None), (kind, k, graph6_str(g))
+                        if skip:
+                            assert not minimal, (kind, k, graph6_str(g))
+                            skipped[kind] += 1
         assert skipped["vc"] < skipped["idf"]
+
+    @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
+                                        ("idf", 0), ("idf", 1)])
+    def test_classifying_before_the_search_keeps_the_scan(self, kind, k):
+        # the reference decides every canonical child after its search, with
+        # the full one-step minimality test
+        predicate = obstructions._predicate_for(kind, k)
+        for n in range(7):
+            for parent in enumerate_graphs(n):
+                if not predicate(parent):
+                    continue
+                members, found = [], []
+                for child, _ in obstructions._augmented_children(parent):
+                    if predicate(child):
+                        members.append(graph6_str(child))
+                    elif is_minor_minimal(child, predicate):
+                        found.append(graph6_str(child))
+                assert obstructions._scan_worker(graph6_str(parent), kind, k) == \
+                    (members, found)
 
     def test_edge_minors_decide_minimality(self):
         # the scans test a failing child with no isolated vertex on its edge
