@@ -24,12 +24,14 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   change did not.
 - `enum`: canonical enumeration.  A run grows levels 0..4 untimed, then
   times each level n in LEVELS: one serial augmentation of every graph of
-  level n - 1 through `obstructions._augment_worker`.  It counts the
-  neighbour sets tried (calls of `obstructions.with_new_vertex`), the
-  canonical searches (calls of `canon._search`) and the classes kept (the
-  level's length).  Then it times `idforest obstructions --k 2` (the
-  perfbench census) in the same interpreter and counts its canonical
-  searches and its `vc.nt_kernel` calls.  A counted function is wrapped in
+  level n - 1, read from and written back to graph6, through
+  `obstructions._augmented_children` with a classifier that keeps every
+  child (a call that both sides accept).  It counts the neighbour sets
+  tried (calls of `obstructions.with_new_vertex`), the canonical searches
+  (calls of `canon._search`) and the classes kept (the level's length).
+  Then it times `idforest obstructions --k 2` (the perfbench census) in
+  the same interpreter and counts its canonical searches and its
+  `vc.nt_kernel` calls.  A counted function is wrapped in
   every module that binds it, so calls through a name imported from `canon`
   or `vc` are counted too.  These counters wrap the functions in the timed
   pass itself: one extra Python call per counted call, about 0.4 us against
@@ -197,11 +199,17 @@ def measure_detect() -> dict:
 LEVELS = range(5, 9)
 
 
+def _keep_all(child) -> bool:
+    return True
+
+
 def measure_enum() -> dict:
-    from idforest import Graph, canon, cli, graph6_str, obstructions, solver, vc
+    from idforest import (Graph, canon, cli, graph6_str, graph6_to_graph, obstructions,
+                          solver, vc)
 
     def grow(level: list[str]) -> list[str]:
-        return [line for parent in level for line in obstructions._augment_worker(parent)]
+        return [graph6_str(child) for parent in level for child, _ in
+                obstructions._augmented_children(graph6_to_graph(parent), _keep_all)]
 
     counts = {"with_new_vertex": 0, "_search": 0, "nt_kernel": 0}
     level = [graph6_str(Graph(0))]

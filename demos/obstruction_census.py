@@ -42,7 +42,7 @@ def main() -> None:
         describe(vc_report)
         describe(idf_report)
 
-        checks = verify_section4(k, vc_report=vc_report, idf_report=idf_report)
+        checks = verify_section4(vc_report, idf_report)
         print(f"verification checks at budget {k}:")
         for name, result in sorted(checks.items()):
             print(f"  {name:<28} {'PASS' if result.passed else 'FAIL'} - {result.detail}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .errors import SizeLimitError
 from .graph import Graph, _relabel
+from .graphio import graph6_bytes
 
 CANON_MAX_VERTICES = 12
 
@@ -82,9 +83,9 @@ def _twins(adj: tuple[int, ...], u: int, v: int) -> bool:
     return adj[u] == adj[v] or (adj[u] | (1 << u)) == (adj[v] | (1 << v))
 
 
-def _search(n: int, adj: tuple[int, ...], refined: list[int] | None = None) -> tuple[int, list[int]]:
-    """Minimum encoding over the refinement tree, with the winning labeling;
-    `refined` is the root colouring `_refine(n, adj, [0] * n)` if known."""
+def _search(n: int, adj: tuple[int, ...], refined: list[int]) -> tuple[int, list[int]]:
+    """Minimum encoding over the refinement tree rooted at the refined
+    colouring `refined`, with the winning labeling."""
     total_bits = n * (n - 1) // 2
     best_enc: list = [None]
     best_perm: list = [None]
@@ -116,38 +117,28 @@ def _search(n: int, adj: tuple[int, ...], refined: list[int] | None = None) -> t
             branched[u] -= 1
             rec(_refine(n, adj, branched))
 
-    rec(refined or _refine(n, adj, [0] * n))
-    return best_enc[0] if best_enc[0] is not None else 0, best_perm[0] or []
-
-
-def _check_size(g: Graph):
-    if g.n > CANON_MAX_VERTICES:
-        raise SizeLimitError(
-            f"canonical form supports up to {CANON_MAX_VERTICES} vertices, got {g.n}")
+    rec(refined)
+    return best_enc[0], best_perm[0]
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """A labeling (vertex -> canonical position) realizing canonical_form."""
-    _check_size(g)
+    if g.n > CANON_MAX_VERTICES:
+        raise SizeLimitError(
+            f"canonical form supports up to {CANON_MAX_VERTICES} vertices, got {g.n}")
     if g.n == 0:
         return ()
-    _, perm = _search(g.n, g.adj_masks)
+    _, perm = _search(g.n, g.adj_masks, _refine(g.n, g.adj_masks, [0] * g.n))
     return tuple(perm)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """g relabelled into canonical positions."""
-    _check_size(g)
-    if g.n == 0:
-        return g
-    _, perm = _search(g.n, g.adj_masks)
-    return _relabel(g, perm)
+    return _relabel(g, canonical_labeling(g))
 
 
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: the graph6 encoding of the canonical relabelling."""
-    from .graphio import graph6_bytes
-
     return graph6_bytes(canonical_graph(g))
 
 

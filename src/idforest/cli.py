@@ -23,7 +23,8 @@ from .graphio import edge_list_to_graph, graph6_str, graph6_to_graph
 from .identify import (identify_partition, is_id_forest_partition,
                        text_to_partition)
 from .minors import dichotomy, gen_antichain_h, gen_cycle, gen_marguerite, gen_triangles
-from .obstructions import obs_idf, obs_vc, verify_section4, write_catalog
+from .obstructions import (ObstructionReport, obs_idf, obs_vc, verify_section4,
+                           write_catalog)
 from .oracle import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_VC_MAX,
                      brute_ecf, brute_idf, brute_vc)
 from .solver import idf_exact, idf_kernel
@@ -152,33 +153,27 @@ def _cmd_families(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args)
+    rows = (("idf", g.n, BRUTE_IDF_MAX, "vertices", brute_idf),
+            ("vc", g.n, BRUTE_VC_MAX, "vertices", brute_vc),
+            ("ecf", g.m, BRUTE_ECF_MAX_EDGES, "edges", lambda h: brute_ecf(h).value))
     payload: dict = {}
     lines: list[str] = []
-    if g.n <= BRUTE_IDF_MAX:
-        payload["idf"] = brute_idf(g)
-        lines.append(f"idf = {payload['idf']}")
-    else:
-        payload["idf"] = None
-        lines.append(f"idf: skipped (needs <= {BRUTE_IDF_MAX} vertices)")
-    if g.n <= BRUTE_VC_MAX:
-        payload["vc"] = brute_vc(g)
-        lines.append(f"vc = {payload['vc']}")
-    else:
-        payload["vc"] = None
-        lines.append(f"vc: skipped (needs <= {BRUTE_VC_MAX} vertices)")
-    if g.m <= BRUTE_ECF_MAX_EDGES:
-        payload["ecf"] = brute_ecf(g).value
-        lines.append(f"ecf = {payload['ecf']}")
-    else:
-        payload["ecf"] = None
-        lines.append(f"ecf: skipped (needs <= {BRUTE_ECF_MAX_EDGES} edges)")
+    for name, size, limit, unit, oracle in rows:
+        if size <= limit:
+            payload[name] = oracle(g)
+            lines.append(f"{name} = {payload[name]}")
+        else:
+            payload[name] = None
+            lines.append(f"{name}: skipped (needs <= {limit} {unit})")
     _emit(args, payload, lines)
     return 0
 
 
-def _checks_payload(checks) -> dict:
-    return {name: {"passed": r.passed, "detail": r.detail}
-            for name, r in sorted(checks.items())}
+def _checked_reports(args: argparse.Namespace) -> tuple[ObstructionReport, ObstructionReport]:
+    """Both scans at args.k, the identification report carrying the checks."""
+    vc_report = obs_vc(args.k, long_run=args.long_run, workers=args.workers)
+    idf_report = obs_idf(args.k, long_run=args.long_run, workers=args.workers)
+    return vc_report, replace(idf_report, checks=verify_section4(vc_report, idf_report))
 
 
 def _checks_lines(checks) -> list[str]:
@@ -187,10 +182,7 @@ def _checks_lines(checks) -> list[str]:
 
 
 def _cmd_obstructions(args: argparse.Namespace) -> int:
-    vc_report = obs_vc(args.k, long_run=args.long_run, workers=args.workers)
-    idf_report = obs_idf(args.k, long_run=args.long_run, workers=args.workers)
-    checks = verify_section4(args.k, vc_report=vc_report, idf_report=idf_report)
-    idf_report = replace(idf_report, checks=checks)
+    vc_report, idf_report = _checked_reports(args)
     vc_path, vc_json = write_catalog(vc_report, args.out)
     idf_path, idf_json = write_catalog(idf_report, args.out)
     payload = {"vc": vc_report.as_json_dict(), "idf": idf_report.as_json_dict(),
@@ -198,16 +190,16 @@ def _cmd_obstructions(args: argparse.Namespace) -> int:
     lines = [f"cover obstructions (k={args.k}): {len(vc_report.obstructions)} -> {vc_path}",
              f"identification obstructions (k={args.k}): "
              f"{len(idf_report.obstructions)} -> {idf_path}"]
-    lines += _checks_lines(checks)
+    lines += _checks_lines(idf_report.checks)
     _emit(args, payload, lines)
-    return 0 if all(r.passed for r in checks.values()) else 1
+    return 0 if all(r.passed for r in idf_report.checks.values()) else 1
 
 
 def _cmd_verify4(args: argparse.Namespace) -> int:
-    checks = verify_section4(args.k, long_run=args.long_run, workers=args.workers)
-    _emit(args, {"k": args.k, "checks": _checks_payload(checks)},
-          _checks_lines(checks))
-    return 0 if all(r.passed for r in checks.values()) else 1
+    _, idf_report = _checked_reports(args)
+    _emit(args, {"k": args.k, "checks": idf_report.as_json_dict()["checks"]},
+          _checks_lines(idf_report.checks))
+    return 0 if all(r.passed for r in idf_report.checks.values()) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -224,6 +216,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add_scan(p: argparse.ArgumentParser):
+        p.add_argument("--k", required=True, type=int, help="parameter")
+        p.add_argument("--long-run", action="store_true",
+                       help="opt in to the k = 3 scans")
+        p.add_argument("--workers", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("solve", help="optimal identification-to-forest certificate")
     add_graph(p)
@@ -258,11 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("obstructions", help="compute and write obstruction catalogs")
     add_common(p)
-    p.add_argument("--k", required=True, type=int, help="parameter")
+    add_scan(p)
     p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--long-run", action="store_true",
-                   help="opt in to the k = 3 scans")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
     p.set_defaults(func=_cmd_obstructions)
 
     p = sub.add_parser("families", help="print a named family member as graph6")
@@ -278,10 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify4", help="run the obstruction cross-checks only")
     add_common(p)
-    p.add_argument("--k", required=True, type=int, help="parameter")
-    p.add_argument("--long-run", action="store_true",
-                   help="opt in to the k = 3 scans")
-    p.add_argument("--workers", type=int, default=1, help="worker processes")
+    add_scan(p)
     p.set_defaults(func=_cmd_verify4)
     return parser
 

@@ -7,8 +7,11 @@ reproduces the parent it was grown from, so no global seen-set is needed and
 independent branches parallelize trivially.  Only children whose new vertex
 lies in the last cell of their refined colouring are searched (McKay's
 vertex-invariant test): refinement keeps cell order and so puts the
-canonical last vertex there.  `enumerate_graphs` reaches 9 vertices and
-recomputes the levels below n on every call.
+canonical last vertex there.  Enumeration and both scans grow their levels
+through one loop, `_grow`, which passes each tried child to a classifier:
+a member joins the next level, a non-member is collected, and any other
+child is dropped.  `enumerate_graphs` keeps every child as a member, reaches
+9 vertices and recomputes the levels below n on every call.
 
 The obstruction scans find the minor-minimal graphs outside "vertex cover at
 most k" and outside "identification distance to a forest at most k".  Both
@@ -52,6 +55,7 @@ ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
 
 Predicate = Callable[[Graph], bool]
+Classifier = Callable[[Graph], bool | None]
 
 
 def _twin_classes(adj: tuple[int, ...]) -> list[int]:
@@ -71,17 +75,19 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [mask for mask in classes if mask & (mask - 1)]
 
 
-def _augmented_children(parent: Graph,
-                        classify: Callable[[Graph], bool | None] | None = None
-                        ) -> list[tuple[Graph, bool]]:
+def _keep(child: Graph) -> bool:
+    """Enumeration's classifier: every child is a member."""
+    return True
+
+
+def _augmented_children(parent: Graph, classify: Classifier) -> list[tuple[Graph, bool]]:
     """Canonical children of a canonical parent with their verdicts, sorted
     by canonical code.
 
     Each tried child is first passed, in its raw labelling, to `classify`,
     which must depend only on the child's class: a child it returns None for
     is dropped before any canonical work, and any other verdict comes back
-    with the kept child.  Without a classifier every child is kept, with
-    verdict True.
+    with the kept child.
 
     A child is kept when deleting the vertex that its own canonical labeling
     puts last gives back the parent's class.  `_refine` keeps cell order, so
@@ -118,7 +124,7 @@ def _augmented_children(parent: Graph,
                for mask in twin_classes):
             continue
         child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
-        verdict = True if classify is None else classify(child)
+        verdict = classify(child)
         if verdict is None:
             continue
         colors = _refine(n + 1, child.adj_masks, [0] * (n + 1))
@@ -135,11 +141,6 @@ def _augmented_children(parent: Graph,
         else:
             rejected.add(code)
     return [kept[code] for code in sorted(kept)]
-
-
-def _augment_worker(parent_line: str) -> list[str]:
-    children = _augmented_children(graph6_to_graph(parent_line))
-    return [graph6_str(child) for child, _ in children]
 
 
 def _pmap(fn: Callable, items: list, workers: int) -> Iterator:
@@ -171,20 +172,68 @@ def _read_lines(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
+def _grow_worker(parent_line: str, classify: Classifier) -> tuple[list[str], list[str]]:
+    """The member children and the non-member children that `classify`
+    keeps, of one parent, as graph6 lines in the parent's child order."""
+    members: list[str] = []
+    found: list[str] = []
+    for child, member in _augmented_children(graph6_to_graph(parent_line), classify):
+        (members if member else found).append(graph6_str(child))
+    return members, found
+
+
+def _grow(classify: Classifier, max_n: int, *, workers: int,
+          stem: str | None) -> tuple[list[str], list[str]]:
+    """Grow levels 1..max_n from the empty graph, each from the members of
+    the level before, as graph6 lines: the members of level max_n, and the
+    non-members of every level.
+
+    With a stem, each level's non-members and then its members are written
+    as the whole files `{stem}-n{n}.found.g6` and `{stem}-n{n}.members.g6`;
+    a rerun reads back every level whose member file exists instead of
+    growing it again."""
+    worker = partial(_grow_worker, classify=classify)
+    members = [graph6_str(Graph(0))]
+    found: list[str] = []
+    for n in range(1, max_n + 1):
+        if stem is not None:
+            found_path, members_path = f"{stem}-n{n}.found.g6", f"{stem}-n{n}.members.g6"
+            if os.path.exists(members_path):
+                found.extend(_read_lines(found_path))
+                members = _read_lines(members_path)
+                continue
+        level_members: list[str] = []
+        level_found: list[str] = []
+        for child_members, child_found in _pmap(worker, members, workers):
+            level_members.extend(child_members)
+            level_found.extend(child_found)
+        if stem is not None:
+            os.makedirs(os.path.dirname(stem), exist_ok=True)
+            _replace_file(found_path, level_found)
+            _replace_file(members_path, level_members)
+        found.extend(level_found)
+        members = level_members
+    return members, found
+
+
 def enumerate_graphs(n: int, *, workers: int = 1) -> Iterator[Graph]:
     """One canonical representative per isomorphism class of simple graphs
     on n vertices, in a deterministic order.  Each call grows levels 0..n-1
-    again as lists of graph6 lines and keeps nothing afterwards."""
+    again, keeping every child, and keeps nothing afterwards."""
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     if n > ENUMERATION_MAX_VERTICES:
         raise SizeLimitError(
             f"enumeration supports up to {ENUMERATION_MAX_VERTICES} vertices, got {n}")
-    level = [graph6_str(Graph(0))]
-    for _ in range(n):
-        level = [line for lines in _pmap(_augment_worker, level, workers)
-                 for line in lines]
-    yield from map(graph6_to_graph, level)
+    level, _ = _grow(_keep, n, workers=workers, stem=None)
+    return map(graph6_to_graph, level)
+
+
+def _edge_minors(g: Graph) -> Iterator[Graph]:
+    """The minors one edge deletion or contraction away."""
+    for e in sorted(g.edges):
+        yield delete_edge(g, e)
+        yield contract_edge(g, e)
 
 
 def one_step_minors(g: Graph) -> Iterator[Graph]:
@@ -192,9 +241,7 @@ def one_step_minors(g: Graph) -> Iterator[Graph]:
     deleted, or an edge contracted."""
     for v in range(g.n):
         yield delete_vertex(g, v)
-    for e in sorted(g.edges):
-        yield delete_edge(g, e)
-        yield contract_edge(g, e)
+    yield from _edge_minors(g)
 
 
 def is_minor_minimal(g: Graph, predicate: Predicate) -> bool:
@@ -251,13 +298,6 @@ def _predicate_for(kind: str, k: int) -> Predicate:
     return partial(vc_decision if kind == "vc" else idf_decision, k=k)
 
 
-def _edge_minors(g: Graph) -> Iterator[Graph]:
-    """The minors one edge deletion or contraction away."""
-    for e in sorted(g.edges):
-        yield delete_edge(g, e)
-        yield contract_edge(g, e)
-
-
 def _classify(child: Graph, kind: str, k: int) -> bool | None:
     """True for a member, False for a minor-minimal non-member, None for any
     other child.  A non-member with an isolated vertex is not minimal, since
@@ -279,59 +319,31 @@ def _classify(child: Graph, kind: str, k: int) -> bool | None:
     return False if all(predicate(h) for h in _edge_minors(child)) else None
 
 
-def _scan_worker(parent_line: str, kind: str, k: int) -> tuple[list[str], list[str]]:
-    """The member children and the minor-minimal non-member children of one
-    member parent, as graph6 lines in the parent's child order."""
-    members: list[str] = []
-    found: list[str] = []
-    classify = partial(_classify, kind=kind, k=k)
-    for child, member in _augmented_children(graph6_to_graph(parent_line), classify):
-        (members if member else found).append(graph6_str(child))
-    return members, found
-
-
 def _scan(kind: str, k: int, max_n: int, *, workers: int,
           checkpoint_dir: str | None) -> tuple[Graph, ...]:
     """Minor-minimal non-members on up to max_n vertices, grown from members
     only: both predicates are minor-closed, and a canonical child's parent is
     a proper minor of it, so every minimal non-member has a member parent.
-
-    With a checkpoint_dir, each level's obstructions and then its members are
-    written as whole files; a rerun reads back every level whose member file
-    exists instead of scanning it again."""
-    worker = partial(_scan_worker, kind=kind, k=k)
-    members = [graph6_str(Graph(0))]
-    found: list[str] = []
-    for n in range(1, max_n + 1):
-        if checkpoint_dir is not None:
-            stem = os.path.join(checkpoint_dir, f"scan-{kind}-k{k}-n{n}")
-            found_path, members_path = stem + ".found.g6", stem + ".members.g6"
-            if os.path.exists(members_path):
-                found.extend(_read_lines(found_path))
-                members = _read_lines(members_path)
-                continue
-        level_members: list[str] = []
-        level_found: list[str] = []
-        for child_members, child_found in _pmap(worker, members, workers):
-            level_members.extend(child_members)
-            level_found.extend(child_found)
-        if checkpoint_dir is not None:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            _replace_file(found_path, level_found)
-            _replace_file(members_path, level_members)
-        found.extend(level_found)
-        members = level_members
+    Checkpoint files are named `scan-{kind}-k{k}-n{n}.*.g6` (see `_grow`)."""
+    stem = None if checkpoint_dir is None else os.path.join(checkpoint_dir,
+                                                             f"scan-{kind}-k{k}")
+    _, found = _grow(partial(_classify, kind=kind, k=k), max_n, workers=workers,
+                     stem=stem)
     return tuple(sorted(map(graph6_to_graph, found), key=canonical_form))
+
+
+def _check_budget(k: int, long_run: bool):
+    if k < 0 or k > 3:
+        raise ValueError(f"supported budgets are 0..3, got {k}")
+    if k == 3 and not long_run:
+        raise ValueError("k = 3 scans take a while; pass long_run=True to opt in")
 
 
 def obs_vc(k: int, *, long_run: bool = False, workers: int = 1,
            checkpoint_dir: str | None = None) -> ObstructionReport:
     """Minor-minimal graphs with vertex cover number above k, complete up to
     the 2k+2 vertex bound.  k = 3 is a deliberate long run."""
-    if k < 0 or k > 3:
-        raise ValueError(f"supported budgets are 0..3, got {k}")
-    if k == 3 and not long_run:
-        raise ValueError("k = 3 scans take a while; pass long_run=True to opt in")
+    _check_budget(k, long_run)
     members = _scan("vc", k, 2 * k + 2, workers=workers, checkpoint_dir=checkpoint_dir)
     return ObstructionReport(kind="vc", k=k, obstructions=members)
 
@@ -365,10 +377,7 @@ def obs_idf(k: int, *, long_run: bool = False, workers: int = 1,
     Each member is annotated with how it relates to the cover obstructions:
     it is one itself, or an edge deletion away from one, or neither.
     """
-    if k < 0 or k > 3:
-        raise ValueError(f"supported budgets are 0..3, got {k}")
-    if k == 3 and not long_run:
-        raise ValueError("k = 3 scans take a while; pass long_run=True to opt in")
+    _check_budget(k, long_run)
     members = _scan("idf", k, 2 * k + 4, workers=workers, checkpoint_dir=checkpoint_dir)
     provenance = {graph6_str(g): _spanning_vc_minimal(g, idf_exact(g).value - 1)
                   for g in members}
@@ -379,21 +388,13 @@ def obs_idf(k: int, *, long_run: bool = False, workers: int = 1,
 # ---------------------------------------------------------------------------
 # structural verification
 
-def _forms(report: ObstructionReport) -> set[bytes]:
-    return {canonical_form(g) for g in report.obstructions}
-
-
-def _padded_form(h: Graph, n: int) -> bytes:
-    return canonical_form(disjoint_union(h, Graph(n - h.n)) if h.n < n else h)
-
-
 def _has_spanning_copy(g: Graph, h: Graph) -> bool:
     """Is some spanning subgraph of g (same vertex count) isomorphic to h
     padded with isolated vertices?"""
     if h.n > g.n or h.m > g.m:
         return False
-    target = _padded_form(h, g.n)
-    degs = sorted(h.degree(v) for v in range(h.n)) + [0] * (g.n - h.n)
+    target = canonical_form(disjoint_union(h, Graph(g.n - h.n)))
+    degs = sorted([h.degree(v) for v in range(h.n)] + [0] * (g.n - h.n))
     for keep in combinations(sorted(g.edges), h.m):
         kept = Graph(g.n, keep)
         if sorted(kept.degree(v) for v in range(g.n)) != degs:
@@ -403,25 +404,26 @@ def _has_spanning_copy(g: Graph, h: Graph) -> bool:
     return False
 
 
-def verify_section4(k: int, *, long_run: bool = False, workers: int = 1,
-                    checkpoint_dir: str | None = None,
-                    vc_report: ObstructionReport | None = None,
-                    idf_report: ObstructionReport | None = None) -> dict[str, CheckResult]:
-    """Evaluate the structural cross-checks tying the two obstruction sets
-    together.  Failures come back as report entries, never exceptions."""
-    if vc_report is None:
-        vc_report = obs_vc(k, long_run=long_run, workers=workers,
-                           checkpoint_dir=checkpoint_dir)
-    if idf_report is None:
-        idf_report = obs_idf(k, long_run=long_run, workers=workers,
-                             checkpoint_dir=checkpoint_dir)
+def verify_section4(vc_report: ObstructionReport,
+                    idf_report: ObstructionReport) -> dict[str, CheckResult]:
+    """Evaluate the structural cross-checks tying a cover report and an
+    identification report of one budget together.  Failures come back as
+    report entries, never exceptions; reports of another kind or of two
+    budgets raise ValueError."""
+    if (vc_report.kind, idf_report.kind) != ("vc", "idf") or vc_report.k != idf_report.k:
+        raise ValueError(
+            "need a vc report and an idf report of one budget, got "
+            f"{vc_report.kind} k={vc_report.k} and {idf_report.kind} k={idf_report.k}")
+    k = vc_report.k
+    vc_values = [vc_exact(g).value for g in vc_report.obstructions]
+    idf_values = [idf_exact(g).value for g in idf_report.obstructions]
     checks: dict[str, CheckResult] = {}
 
     bad = [graph6_str(g) for g in idf_report.obstructions if bridges(g)]
     checks["a_bridgeless"] = CheckResult(
         not bad, "every member bridgeless" if not bad else f"bridged members: {bad}")
 
-    idf_forms = _forms(idf_report)
+    idf_forms = {canonical_form(g) for g in idf_report.obstructions}
     missing = [graph6_str(g) for g in vc_report.obstructions
                if not bridges(g) and canonical_form(g) not in idf_forms]
     checks["b_bridgeless_vc_members"] = CheckResult(
@@ -440,22 +442,23 @@ def verify_section4(k: int, *, long_run: bool = False, workers: int = 1,
         not not2conn,
         "every component 2-connected" if not not2conn else f"violations: {not2conn}")
 
-    wrong = [(graph6_str(g), vc_exact(g).value) for g in vc_report.obstructions
-             if vc_exact(g).value != k + 1]
+    wrong = [(graph6_str(g), value)
+             for g, value in zip(vc_report.obstructions, vc_values) if value != k + 1]
     checks["d_vc_value_exact"] = CheckResult(
         not wrong, f"all cover values equal {k + 1}" if not wrong
         else f"off-value members: {wrong}")
 
-    out_of_band = [(graph6_str(g), idf_exact(g).value) for g in idf_report.obstructions
-                   if not k + 1 <= idf_exact(g).value <= k + 2]
+    out_of_band = [(graph6_str(g), value)
+                   for g, value in zip(idf_report.obstructions, idf_values)
+                   if not k + 1 <= value <= k + 2]
     checks["e_idf_value_window"] = CheckResult(
         not out_of_band, f"all values in [{k + 1}, {k + 2}]" if not out_of_band
         else f"out of window: {out_of_band}")
 
     f_failures = []
     f_examined = 0
-    for g in idf_report.obstructions:
-        if idf_exact(g).value != k + 1:
+    for g, value in zip(idf_report.obstructions, idf_values):
+        if value != k + 1:
             continue
         f_examined += 1
         minors_of_g = [h for h in vc_report.obstructions

@@ -125,7 +125,8 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
     """Crown-style kernel from the half-integral split.
 
     The V1 vertices are forced into the cover, V0 is discarded, and the
-    half-valued part survives.  A run that is already decided negative
+    half-valued vertices survive except those with no half-valued
+    neighbour, which no cover needs.  A run that is already decided negative
     (budget overdrawn, or more than 2*budget surviving vertices) returns
     a single edge with budget 0 and `decided_no` set.
     """
@@ -133,10 +134,9 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
         raise ValueError(f"budget must be non-negative, got {k}")
     _, vhalf, v1 = lp_half_integral(g)
     budget = k - len(v1)
-    sub, origin = induced_subgraph(g, vhalf)
-    keep = [v for v, row in enumerate(sub.adj_masks) if row]
-    sub, origin2 = induced_subgraph(sub, keep)
-    origin = tuple(origin[v] for v in origin2)
+    adj = g.adj_masks
+    half = sum(1 << v for v in vhalf)
+    sub, origin = induced_subgraph(g, [v for v in vhalf if adj[v] & half])
     if budget < 0 or sub.n > 2 * budget:
         return KernelInstance(Graph(2, [(0, 1)]), 0, frozenset(), {}, True)
     return KernelInstance(sub, budget, frozenset(v1), dict(enumerate(origin)), False)

@@ -148,7 +148,7 @@ def test_criterion_05_obstruction_catalogs_with_all_verification_checks():
         canonical_form(bowtie()),
         canonical_form(gen_triangles(2)),
     }
-    checks = verify_section4(2, vc_report=vc2, idf_report=idf2)
+    checks = verify_section4(vc2, idf2)
     failing = {name: c.detail for name, c in checks.items() if not c.passed}
     assert not failing
     elapsed = time.monotonic() - start

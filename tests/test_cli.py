@@ -197,6 +197,13 @@ class TestOracle:
         assert status == 0
         assert payload["ecf"] is None and payload["vc"] == 6
 
+    def test_human_output_is_pinned(self, capsys):
+        assert run(capsys, "oracle", "DK{") == (0, "idf = 3\nvc = 3\necf = 2\n")
+        assert run(capsys, "oracle", "I???????w") == \
+            (0, "idf: skipped (needs <= 9 vertices)\nvc = 1\necf = 0\n")
+        assert run(capsys, "oracle", "F~~~w") == \
+            (0, "idf = 6\nvc = 6\necf: skipped (needs <= 20 edges)\n")
+
 
 class TestObstructionsCommand:
     def test_writes_catalog_files(self, tmp_path, capsys):
@@ -218,6 +225,19 @@ class TestVerify4Command:
         lines = out.strip().splitlines()
         assert len(lines) == 7
         assert all(": PASS - " in line for line in lines)
+
+    def test_json_is_pinned(self, capsys):
+        status, out = run(capsys, "verify4", "--k", "1", "--json")
+        assert status == 0
+        assert out == (
+            '{"checks": {"a_bridgeless": {"detail": "every member bridgeless", "passed": true}, '
+            '"b_bridgeless_vc_members": {"detail": "bridgeless cover obstructions all present", '
+            '"passed": true}, "c_components_2_connected": {"detail": "every component '
+            '2-connected", "passed": true}, "d_vc_value_exact": {"detail": "all cover values '
+            'equal 2", "passed": true}, "e_idf_value_window": {"detail": "all values in [2, 3]", '
+            '"passed": true}, "f_spanning_vc_obstruction": {"detail": "checked 1 members of '
+            'value 2", "passed": true}, "g_size_bound": {"detail": "all members within 6 '
+            'vertices", "passed": true}}, "k": 1}\n')
 
 
 class TestErrorHandling:

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from conftest import unlabeled_graph_count
@@ -92,8 +93,10 @@ class TestEnumeration:
     def test_twin_pruning_keeps_every_child(self, parent):
         parent = canonical_graph(parent)
         assert obstructions._twin_classes(parent.adj_masks)
-        assert [graph6_str(c) for c, _ in obstructions._augmented_children(parent)] == \
+        children = obstructions._augmented_children(parent, obstructions._keep)
+        assert [graph6_str(c) for c, _ in children] == \
             [graph6_str(c) for c in exhaustive_children(parent)]
+        assert all(verdict is True for _, verdict in children)
 
     @pytest.mark.parametrize("n,digest", [
         (7, "1dd8f91e8ea58c3c9d066fba8bfadccd0fdf4dbb6d5bb7afaa9e596ab366e6fe"),
@@ -128,10 +131,11 @@ class TestEnumeration:
         assert proc.stdout.split() == serial
 
     def test_size_guard(self):
+        # the guards raise at the call, before anything is iterated
         with pytest.raises(SizeLimitError):
-            next(enumerate_graphs(10))
+            enumerate_graphs(10)
         with pytest.raises(ValueError):
-            next(enumerate_graphs(-1))
+            enumerate_graphs(-1)
 
 
 class TestOneStepMinors:
@@ -224,7 +228,7 @@ class TestObstructionScans:
                                for n in range(1, 7) for part in ("found", "members"))
         assert (tmp_path / "scan-vc-k2-n5.found.g6").read_text() == "D`K\nDLo\n"
 
-        def no_augmentation(parent, classify=None):
+        def no_augmentation(parent, classify):
             raise AssertionError("a checkpointed level was scanned again")
 
         monkeypatch.setattr(obstructions, "_augmented_children", no_augmentation)
@@ -291,17 +295,18 @@ class TestPrunedScan:
         # the reference decides every canonical child after its search, with
         # the full one-step minimality test
         predicate = obstructions._predicate_for(kind, k)
+        classify = partial(obstructions._classify, kind=kind, k=k)
         for n in range(7):
             for parent in enumerate_graphs(n):
                 if not predicate(parent):
                     continue
                 members, found = [], []
-                for child, _ in obstructions._augmented_children(parent):
+                for child, _ in obstructions._augmented_children(parent, obstructions._keep):
                     if predicate(child):
                         members.append(graph6_str(child))
                     elif is_minor_minimal(child, predicate):
                         found.append(graph6_str(child))
-                assert obstructions._scan_worker(graph6_str(parent), kind, k) == \
+                assert obstructions._grow_worker(graph6_str(parent), classify) == \
                     (members, found)
 
     def test_edge_minors_decide_minimality(self):
@@ -358,14 +363,34 @@ class TestBudgetThreeCatalogs:
 class TestVerification:
     @pytest.mark.parametrize("k", [0, 1])
     def test_all_checks_pass_for_tiny_budgets(self, k):
-        checks = verify_section4(k)
+        checks = verify_section4(obs_vc(k), obs_idf(k))
         assert set(checks) == CHECK_NAMES
         failing = {name: c.detail for name, c in checks.items() if not c.passed}
         assert not failing
 
     def test_precomputed_reports_are_accepted(self):
-        checks = verify_section4(1, vc_report=obs_vc(1), idf_report=obs_idf(1))
+        checks = verify_section4(obs_vc(1), obs_idf(1))
         assert all(c.passed for c in checks.values())
+        # the reports given are the ones checked: K2 has cover number 1, not 2
+        wrong = replace(obs_vc(1), obstructions=obs_vc(0).obstructions)
+        checks = verify_section4(wrong, obs_idf(1))
+        assert [name for name, c in checks.items() if not c.passed] == ["d_vc_value_exact"]
+        assert checks["d_vc_value_exact"].detail == "off-value members: [('A_', 1)]"
+
+    def test_spanning_copies_are_padded_with_isolated_vertices(self):
+        assert obstructions._has_spanning_copy(complete_graph(3), complete_graph(2))
+        assert obstructions._has_spanning_copy(
+            gen_triangles(2), disjoint_union(complete_graph(3), complete_graph(2)))
+        assert not obstructions._has_spanning_copy(cycle_graph(4), complete_graph(3))
+
+    @pytest.mark.parametrize("first,second", [
+        (("vc", 1), ("vc", 1)), (("idf", 1), ("vc", 1)), (("idf", 1), ("idf", 1)),
+        (("vc", 0), ("idf", 1)), (("vc", 1), ("idf", 0)),
+    ])
+    def test_mismatched_reports_are_refused(self, first, second):
+        scans = {"vc": obs_vc, "idf": obs_idf}
+        with pytest.raises(ValueError, match="one budget"):
+            verify_section4(scans[first[0]](first[1]), scans[second[0]](second[1]))
 
 
 class TestFamilyReport:

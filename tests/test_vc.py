@@ -13,9 +13,9 @@ from conftest import brute_lp_value, graphs_up_to, random_graph
 from idforest import vc
 from idforest import (Graph, KernelInstance, SizeLimitError,
                       complete_bipartite_graph, complete_graph, cycle_graph,
-                      disjoint_union, idf_exact, induced_subgraph,
-                      lp_half_integral, nt_kernel, path_graph, vc_decision,
-                      vc_exact)
+                      disjoint_union, graph6_str, idf_exact, idf_kernel,
+                      induced_subgraph, lp_half_integral, nt_kernel, path_graph,
+                      vc_decision, vc_exact)
 
 
 def brute_cover_number(g: Graph) -> int:
@@ -121,6 +121,22 @@ class TestCoverKernel:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             nt_kernel(complete_graph(3), -1)
+
+    def test_kernels_are_pinned(self):
+        # sha256 of both kernels' fields on seeded sparse G(n, p), taken
+        # before nt_kernel induced its subgraph in one call
+        rng = random.Random(1969)
+        lines = []
+        for n in range(5, 70):
+            g = random_graph(rng, n, rng.uniform(1, 4) / n)
+            for kernel in (idf_kernel, nt_kernel):
+                for k in range(12):
+                    ki = kernel(g, k)
+                    lines.append(f"{graph6_str(ki.graph)} {ki.budget} {sorted(ki.forced)} "
+                                 f"{sorted(ki.origin.items())} {ki.decided_no}")
+        assert sum(not line.endswith("True") for line in lines) == 398
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e7757892349d417b1c6472af6207674c510b9ab1d3709d5af94aba45cab8fde2"
 
 
 class TestExactCover:
