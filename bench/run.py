@@ -26,12 +26,14 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   times each level n in LEVELS: one serial augmentation of every graph of
   level n - 1, read from and written back to graph6, through
   `obstructions._augmented_children` with a classifier that keeps every
-  child (a call that both sides accept).  It counts the neighbour sets
-  tried (calls of `obstructions.with_new_vertex`), the canonical searches
-  (calls of `canon._search`) and the classes kept (the level's length).
-  Then it times `idforest obstructions --k 2` (the perfbench census) in
-  the same interpreter and counts its canonical searches and its
-  `vc.nt_kernel` calls.  A counted function is wrapped in
+  child and takes any arguments, so both sides accept it whatever their
+  classifier signature.  It counts the neighbour sets tried (calls of that
+  classifier, which enumeration calls once for every set it tries), the
+  canonical searches (calls of `canon._search`) and the classes kept (the
+  level's length).  Then it times `idforest obstructions --k 2` (the
+  perfbench census) in the same interpreter and counts its canonical
+  searches, its `obstructions._classify` calls and its `vc.nt_kernel`
+  calls.  A counted function is wrapped in
   every module that binds it, so calls through a name imported from `canon`
   or `vc` are counted too.  These counters wrap the functions in the timed
   pass itself: one extra Python call per counted call, about 0.4 us against
@@ -199,32 +201,33 @@ def measure_detect() -> dict:
 LEVELS = range(5, 9)
 
 
-def _keep_all(child) -> bool:
-    return True
-
-
 def measure_enum() -> dict:
     from idforest import (Graph, canon, cli, graph6_str, graph6_to_graph, obstructions,
                           solver, vc)
 
+    counts = {"sets": 0, "_search": 0, "_classify": 0, "nt_kernel": 0}
+
+    def keep_all(*args) -> bool:
+        counts["sets"] += 1
+        return True
+
     def grow(level: list[str]) -> list[str]:
         return [graph6_str(child) for parent in level for child, _ in
-                obstructions._augmented_children(graph6_to_graph(parent), _keep_all)]
+                obstructions._augmented_children(graph6_to_graph(parent), keep_all)]
 
-    counts = {"with_new_vertex": 0, "_search": 0, "nt_kernel": 0}
     level = [graph6_str(Graph(0))]
     for _ in range(LEVELS[0] - 1):
         level = grow(level)
     levels = []
-    with _counting("with_new_vertex", counts, obstructions), \
-            _counting("_search", counts, canon, obstructions), \
+    with _counting("_search", counts, canon, obstructions), \
+            _counting("_classify", counts, obstructions), \
             _counting("nt_kernel", counts, vc, solver):
         for n in LEVELS:
             counts.update(dict.fromkeys(counts, 0))
             t0 = perf_counter()
             level = grow(level)
             s = perf_counter() - t0
-            levels.append({"n": n, "classes": len(level), "sets": counts["with_new_vertex"],
+            levels.append({"n": n, "classes": len(level), "sets": counts["sets"],
                            "searches": counts["_search"], "s": s})
         counts.update(dict.fromkeys(counts, 0))
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
@@ -232,6 +235,7 @@ def measure_enum() -> dict:
             cli.main(["obstructions", "--k", "2", "--out", out])
             census_s = perf_counter() - t0
     return {"levels": levels, "census": {"searches": counts["_search"],
+                                         "classify": counts["_classify"],
                                          "nt_kernel": counts["nt_kernel"], "s": census_s}}
 
 
@@ -255,9 +259,10 @@ LAYERS = {
                     "counted through _connected_subsets"),
     "enum": Layer(measure_enum, "s", ("n",),
                   "serial canonical augmentation of level n - 1 into level n, one "
-                  "timed pass a run; sets = with_new_vertex calls, searches = "
-                  "_search calls; census = idforest obstructions --k 2 in the same "
-                  "interpreter, with its _search and nt_kernel calls"),
+                  "timed pass a run; sets = calls of the keep-all classifier, "
+                  "searches = _search calls; census = idforest obstructions --k 2 in "
+                  "the same interpreter, with its _search, _classify and nt_kernel "
+                  "calls"),
 }
 
 

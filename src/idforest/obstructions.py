@@ -8,10 +8,11 @@ independent branches parallelize trivially.  Only children whose new vertex
 lies in the last cell of their refined colouring are searched (McKay's
 vertex-invariant test): refinement keeps cell order and so puts the
 canonical last vertex there.  Enumeration and both scans grow their levels
-through one loop, `_grow`, which passes each tried child to a classifier:
-a member joins the next level, a non-member is collected, and any other
-child is dropped.  `enumerate_graphs` keeps every child as a member, reaches
-9 vertices and recomputes the levels below n on every call.
+through one loop, `_grow`, which passes each tried child, as adjacency
+rows, to a classifier: a member joins the next level, a non-member is
+collected, and any other child is dropped.  `enumerate_graphs` keeps every
+child as a member, reaches 9 vertices and recomputes the levels below n on
+every call.
 
 The obstruction scans find the minor-minimal graphs outside "vertex cover at
 most k" and outside "identification distance to a forest at most k".  Both
@@ -21,12 +22,17 @@ a child inside the class joins the next level, and a child outside it is
 tested against its edge deletions and contractions, which imply its vertex
 deletions when it has no isolated vertex.  Holding only its members, a scan
 reaches its 2k+2 or 2k+4 vertex bound (10 vertices for idf at k = 3) past the
-enumerator's limit.  A scan classifies each tried child on its raw labelling
-(`_classify`) before any canonical work: membership and minimality depend
-only on the class, so a child that is neither a member nor a minimal
-non-member is dropped before it is refined or searched.  On top of the scans
-sit a battery of structural cross-checks relating the two sets, and a report
-reconciling the three named families against the computed ground truth.
+enumerator's limit.  A scan classifies each tried child on its raw
+adjacency rows (`_classify`) before any canonical work: membership and
+minimality depend only on the class, so a child that is neither a member
+nor a minimal non-member is dropped before it is refined or searched.  The
+last level feeds no further level, so there a scan keeps obstructions only:
+a member is dropped like any other child, the degree and bridge tests that
+rule out minimality come before the membership test, and neighbour sets
+that would leave a vertex of too small a degree are not tried at all.  On
+top of the scans sit a battery of structural cross-checks relating the two
+sets, and a report reconciling the three named families against the
+computed ground truth.
 """
 
 from __future__ import annotations
@@ -41,21 +47,20 @@ from itertools import combinations
 
 from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
-from .graph import (Graph, _relabel, bridges, connected_components,
+from .graph import (Graph, _bits, _low_link, _relabel, bridges, connected_components,
                     contract_edge, delete_edge, delete_vertex, disjoint_union,
-                    induced_subgraph, is_2_connected, remove_bridges,
-                    with_new_vertex)
+                    induced_subgraph, is_2_connected)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
 from .solver import idf_decision, idf_exact
-from .vc import vc_decision, vc_exact
+from .vc import _vc_split, vc_decision, vc_exact
 
 ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
 
 Predicate = Callable[[Graph], bool]
-Classifier = Callable[[Graph], bool | None]
+Classifier = Callable[[list[int], bool], bool | None]
 
 
 def _twin_classes(adj: tuple[int, ...]) -> list[int]:
@@ -75,19 +80,26 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [mask for mask in classes if mask & (mask - 1)]
 
 
-def _keep(child: Graph) -> bool:
+def _keep(rows: list[int], last: bool) -> bool:
     """Enumeration's classifier: every child is a member."""
     return True
 
 
-def _augmented_children(parent: Graph, classify: Classifier) -> list[tuple[Graph, bool]]:
+def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = False,
+                        min_degree: int = 0) -> list[tuple[Graph, bool]]:
     """Canonical children of a canonical parent with their verdicts, sorted
     by canonical code.
 
-    Each tried child is first passed, in its raw labelling, to `classify`,
-    which must depend only on the child's class: a child it returns None for
+    Each tried child is first passed, as its adjacency rows in the raw
+    labelling, to `classify(rows, last)`, which must depend only on the
+    child's class and must not change the rows: a child it returns None for
     is dropped before any canonical work, and any other verdict comes back
-    with the kept child.
+    with the kept child.  Only neighbour sets that leave every vertex of the
+    child at least `min_degree` neighbours are tried: each parent vertex one
+    short must be picked, a parent with a vertex two short has no children
+    at all, and the set itself needs that many vertices.  A scan passes its
+    minimum degree only for its last level, where it keeps obstructions
+    alone (see `_LAST_MIN_DEGREE`).
 
     A child is kept when deleting the vertex that its own canonical labeling
     puts last gives back the parent's class.  `_refine` keeps cell order, so
@@ -100,37 +112,45 @@ def _augmented_children(parent: Graph, classify: Classifier) -> list[tuple[Graph
     an automorphism of it, so a set is also tried only when it takes the
     lowest-labelled vertices of each twin class; a set skipped gives a child
     isomorphic to a tried one by a map fixing the new vertex, and the keep
-    rule depends only on the child's class.  A searched child costs one
-    canonical search from its refined colouring, and a second one on the
-    deleted graph only when the new vertex is not canonically last and the
-    class is new to this parent.  Across parents the acceptance rule already
-    guarantees disjointness.
+    rule depends only on the child's class.  The degree rule depends on the
+    class too, so it drops no class that the other rules keep.  A searched
+    child costs one canonical search from its refined colouring, and a
+    second one on the deleted graph only when the new vertex is not
+    canonically last and the class is new to this parent.  Across parents
+    the acceptance rule already guarantees disjointness.
     """
     n = parent.n
-    parent_code = canonical_form(parent)
     adj = parent.adj_masks
     degrees = [mask.bit_count() for mask in adj]
+    if any(d < min_degree - 1 for d in degrees):
+        return []
+    need = sum(1 << v for v in range(n) if degrees[v] < min_degree)
     top = max(degrees, default=0)
     top_mask = sum(1 << v for v in range(n) if degrees[v] == top)
     twin_classes = _twin_classes(adj)
+    parent_code = canonical_form(parent)
+    new_bit = 1 << n
     kept: dict[bytes, tuple[Graph, bool]] = {}
     rejected: set[bytes] = set()
     for bits in range(1 << n):
         size = bits.bit_count()
-        if size < top or (size == top and bits & top_mask):
+        if (size < top or (size == top and bits & top_mask) or size < min_degree
+                or bits & need != need):
             continue
         # within each class, the picked vertices must be its lowest ones
         if any(mask & ((1 << (bits & mask).bit_length()) - 1) != bits & mask
                for mask in twin_classes):
             continue
-        child = with_new_vertex(parent, [v for v in range(n) if (bits >> v) & 1])
-        verdict = classify(child)
+        rows = [row | new_bit if bits >> v & 1 else row for v, row in enumerate(adj)]
+        rows.append(bits)
+        verdict = classify(rows, last)
         if verdict is None:
             continue
-        colors = _refine(n + 1, child.adj_masks, [0] * (n + 1))
+        colors = _refine(n + 1, rows, [0] * (n + 1))
         if colors[n] != max(colors):
             continue
-        _, perm = _search(n + 1, child.adj_masks, colors)
+        _, perm = _search(n + 1, rows, colors)
+        child = Graph._from_rows(rows)
         rep = _relabel(child, perm)
         code = graph6_bytes(rep)
         if code in kept or code in rejected:
@@ -172,36 +192,45 @@ def _read_lines(path: str) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _grow_worker(parent_line: str, classify: Classifier) -> tuple[list[str], list[str]]:
+def _grow_worker(parent_line: str, classify: Classifier, last: bool = False,
+                 min_degree: int = 0) -> tuple[list[str], list[str]]:
     """The member children and the non-member children that `classify`
     keeps, of one parent, as graph6 lines in the parent's child order."""
     members: list[str] = []
     found: list[str] = []
-    for child, member in _augmented_children(graph6_to_graph(parent_line), classify):
+    for child, member in _augmented_children(graph6_to_graph(parent_line), classify,
+                                             last=last, min_degree=min_degree):
         (members if member else found).append(graph6_str(child))
     return members, found
 
 
-def _grow(classify: Classifier, max_n: int, *, workers: int,
+def _grow(classify: Classifier, max_n: int, *, min_degree: int = 0, workers: int,
           stem: str | None) -> tuple[list[str], list[str]]:
     """Grow levels 1..max_n from the empty graph, each from the members of
     the level before, as graph6 lines: the members of level max_n, and the
-    non-members of every level.
+    non-members of every level.  Level max_n is grown with `last` set and
+    with `min_degree` (see `_augmented_children`).
 
-    With a stem, each level's non-members and then its members are written
-    as the whole files `{stem}-n{n}.found.g6` and `{stem}-n{n}.members.g6`;
-    a rerun reads back every level whose member file exists instead of
-    growing it again."""
-    worker = partial(_grow_worker, classify=classify)
+    With a stem, each level writes its non-members as the whole file
+    `{stem}-n{n}.found.g6`, and each level below max_n then writes its
+    members as `{stem}-n{n}.members.g6`.  A scan's classifier keeps no
+    member at its last level, so that level has no member file.  A rerun
+    reads back each level below max_n whose member file exists, and level
+    max_n when its found file exists: the non-members of a level do not
+    depend on max_n.  The last level of an earlier, shorter scan has no
+    member file, so a scan that goes further grows that level again."""
     members = [graph6_str(Graph(0))]
     found: list[str] = []
     for n in range(1, max_n + 1):
+        last = n == max_n
         if stem is not None:
             found_path, members_path = f"{stem}-n{n}.found.g6", f"{stem}-n{n}.members.g6"
-            if os.path.exists(members_path):
+            if os.path.exists(found_path if last else members_path):
                 found.extend(_read_lines(found_path))
-                members = _read_lines(members_path)
+                members = [] if last else _read_lines(members_path)
                 continue
+        worker = partial(_grow_worker, classify=classify, last=last,
+                         min_degree=min_degree if last else 0)
         level_members: list[str] = []
         level_found: list[str] = []
         for child_members, child_found in _pmap(worker, members, workers):
@@ -210,7 +239,8 @@ def _grow(classify: Classifier, max_n: int, *, workers: int,
         if stem is not None:
             os.makedirs(os.path.dirname(stem), exist_ok=True)
             _replace_file(found_path, level_found)
-            _replace_file(members_path, level_members)
+            if not last:
+                _replace_file(members_path, level_members)
         found.extend(level_found)
         members = level_members
     return members, found
@@ -229,19 +259,14 @@ def enumerate_graphs(n: int, *, workers: int = 1) -> Iterator[Graph]:
     return map(graph6_to_graph, level)
 
 
-def _edge_minors(g: Graph) -> Iterator[Graph]:
-    """The minors one edge deletion or contraction away."""
-    for e in sorted(g.edges):
-        yield delete_edge(g, e)
-        yield contract_edge(g, e)
-
-
 def one_step_minors(g: Graph) -> Iterator[Graph]:
     """Every graph one minor operation away: a vertex deleted, an edge
     deleted, or an edge contracted."""
     for v in range(g.n):
         yield delete_vertex(g, v)
-    yield from _edge_minors(g)
+    for e in sorted(g.edges):
+        yield delete_edge(g, e)
+        yield contract_edge(g, e)
 
 
 def is_minor_minimal(g: Graph, predicate: Predicate) -> bool:
@@ -298,25 +323,70 @@ def _predicate_for(kind: str, k: int) -> Predicate:
     return partial(vc_decision if kind == "vc" else idf_decision, k=k)
 
 
-def _classify(child: Graph, kind: str, k: int) -> bool | None:
-    """True for a member, False for a minor-minimal non-member, None for any
-    other child.  A non-member with an isolated vertex is not minimal, since
-    deleting that vertex changes neither value.  Nor is an idf non-member
-    with a bridge, since bridge removal preserves the identification number:
-    the bridgeless core that decides membership differs from the child
-    exactly then."""
+# At its last level a scan keeps only minor-minimal non-members, and each
+# vertex of one has at least this many neighbours: a non-member with an
+# isolated vertex is not minimal, nor is an idf non-member with a pendant
+# edge, which is a bridge.
+_LAST_MIN_DEGREE = {"vc": 1, "idf": 2}
+
+
+def _core(rows: list[int]) -> list[int]:
+    """The rows with every bridge deleted."""
+    core = list(rows)
+    for u, v in _low_link(rows)[0]:
+        core[u] ^= 1 << v
+        core[v] ^= 1 << u
+    return core
+
+
+def _member(rows: list[int], kind: str, k: int) -> bool:
+    """`vc_decision` or `idf_decision` on the graph with these rows."""
     if kind == "idf":
-        core = remove_bridges(child)
-        if vc_decision(core, k):
-            return True
-        if core != child:
-            return None
-    elif vc_decision(child, k):
-        return True
-    if not all(child.adj_masks):
+        rows = _core(rows)
+    return _vc_split(rows, (1 << len(rows)) - 1, k) is not None
+
+
+def _edge_minor_rows(rows: list[int]) -> Iterator[list[int]]:
+    """The rows of each minor one edge deletion or contraction away.  A
+    contraction of uv keeps the vertex count: v is left isolated, and its
+    neighbours join u's."""
+    for u, row in enumerate(rows):
+        bu = 1 << u
+        for v in _bits(row >> u + 1 << u + 1):
+            bv = 1 << v
+            deleted = list(rows)
+            deleted[u] ^= bv
+            deleted[v] ^= bu
+            yield deleted
+            contracted = list(rows)
+            for w in _bits(rows[v] & ~bu):
+                contracted[w] = contracted[w] & ~bv | bu
+            contracted[u] = (row | rows[v]) & ~(bu | bv)
+            contracted[v] = 0
+            yield contracted
+
+
+def _classify(rows: list[int], last: bool, kind: str, k: int) -> bool | None:
+    """True for a member, False for a minor-minimal non-member, None for any
+    other child, which at a scan's last level includes every member.  A
+    non-member with an isolated vertex is not minimal, since deleting that
+    vertex changes neither value.  Nor is an idf non-member with a bridge,
+    since bridge removal preserves the identification number.  At the last
+    level these tests come before the membership test; below it a member
+    must be kept whatever its degrees and bridges.  An isolated vertex
+    changes neither value, so every minor is decided on n rows."""
+    if last and not all(rows):
         return None
-    predicate = _predicate_for(kind, k)
-    return False if all(predicate(h) for h in _edge_minors(child)) else None
+    core = rows
+    if kind == "idf":
+        core = _core(rows)
+        if last and core != rows:
+            return None
+    if _vc_split(core, (1 << len(rows)) - 1, k) is not None:
+        return None if last else True
+    if core != rows or not all(rows):
+        return None
+    return False if all(_member(minor, kind, k) for minor in _edge_minor_rows(rows)) else None
 
 
 def _scan(kind: str, k: int, max_n: int, *, workers: int,
@@ -327,8 +397,8 @@ def _scan(kind: str, k: int, max_n: int, *, workers: int,
     Checkpoint files are named `scan-{kind}-k{k}-n{n}.*.g6` (see `_grow`)."""
     stem = None if checkpoint_dir is None else os.path.join(checkpoint_dir,
                                                              f"scan-{kind}-k{k}")
-    _, found = _grow(partial(_classify, kind=kind, k=k), max_n, workers=workers,
-                     stem=stem)
+    _, found = _grow(partial(_classify, kind=kind, k=k), max_n,
+                     min_degree=_LAST_MIN_DEGREE[kind], workers=workers, stem=stem)
     return tuple(sorted(map(graph6_to_graph, found), key=canonical_form))
 
 

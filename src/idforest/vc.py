@@ -265,12 +265,13 @@ def vc_exact(g: Graph) -> VcSolution:
 
 
 def vc_decision(g: Graph, k: int) -> bool:
-    """True iff g has a vertex cover of size at most k.  Up to VC_MAX_VERTICES
-    vertices one branching call with cap k decides it, with the LP cut at
-    every component; larger graphs go through `nt_kernel`, then `vc_exact`."""
+    """True iff g has a vertex cover of size at most k: one branching call
+    with cap k, with the LP cut at every component.  Above VC_MAX_VERTICES
+    vertices the call runs on the `nt_kernel` kernel, which has at most 2k
+    vertices; there is no size limit."""
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    if g.n <= VC_MAX_VERTICES:
-        return _vc_split(g.adj_masks, (1 << g.n) - 1, k) is not None
-    ki = nt_kernel(g, k)
-    return vc_exact(ki.graph).value <= ki.budget
+    if g.n > VC_MAX_VERTICES:
+        ki = nt_kernel(g, k)
+        g, k = ki.graph, ki.budget
+    return _vc_split(g.adj_masks, (1 << g.n) - 1, k) is not None

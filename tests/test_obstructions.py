@@ -223,21 +223,39 @@ class TestObstructionScans:
     def test_checkpointed_levels_are_read_back(self, tmp_path, monkeypatch):
         expected = obs_vc(2).graph6_lines()
         assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
+        # the last level keeps no members, so it writes only its found file
         names = sorted(os.listdir(tmp_path))
-        assert names == sorted(f"scan-vc-k2-n{n}.{part}.g6"
-                               for n in range(1, 7) for part in ("found", "members"))
+        assert names == sorted([f"scan-vc-k2-n{n}.{part}.g6" for n in range(1, 6)
+                                for part in ("found", "members")] + ["scan-vc-k2-n6.found.g6"])
         assert (tmp_path / "scan-vc-k2-n5.found.g6").read_text() == "D`K\nDLo\n"
 
-        def no_augmentation(parent, classify):
+        def no_augmentation(parent, classify, **kwargs):
             raise AssertionError("a checkpointed level was scanned again")
 
         monkeypatch.setattr(obstructions, "_augmented_children", no_augmentation)
         assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
-        # a level without its member file is scanned again, and the ones after it
-        (tmp_path / "scan-vc-k2-n6.members.g6").unlink()
+        # a level below the last without its member file is grown again, and
+        # so is the last level without its found file
+        (tmp_path / "scan-vc-k2-n5.members.g6").unlink()
+        (tmp_path / "scan-vc-k2-n6.found.g6").unlink()
         monkeypatch.undo()
         assert obs_vc(2, checkpoint_dir=str(tmp_path)).graph6_lines() == expected
-        assert (tmp_path / "scan-vc-k2-n6.members.g6").exists()
+        assert sorted(os.listdir(tmp_path)) == names
+
+    @pytest.mark.parametrize("kind,k,n", [("vc", 1, 3), ("vc", 2, 4), ("vc", 2, 5),
+                                          ("idf", 2, 4), ("idf", 2, 5)])
+    def test_a_longer_scan_regrows_the_last_checkpointed_level(self, tmp_path, kind, k, n):
+        # level n was the last level of the first scan and kept no members;
+        # the second scan must grow it again to reach the obstructions of n + 1
+        scan = partial(obstructions._scan, kind, k, workers=1)
+        shorter = scan(n, checkpoint_dir=str(tmp_path))
+        longer = scan(n + 1, checkpoint_dir=str(tmp_path))
+        assert longer == scan(n + 1, checkpoint_dir=None)
+        assert len(longer) > len(shorter)
+        assert (tmp_path / f"scan-{kind}-k{k}-n{n}.members.g6").exists()
+        assert not (tmp_path / f"scan-{kind}-k{k}-n{n + 1}.members.g6").exists()
+        # the shorter scan reads its last level back from the found file
+        assert scan(n, checkpoint_dir=str(tmp_path)) == shorter
 
     def test_reports_serialize(self):
         payload = obs_vc(1).as_json_dict()
@@ -268,34 +286,45 @@ class TestPrunedScan:
 
     def test_skipped_children_are_never_minimal(self):
         # _classify drops a non-member with an isolated vertex, or for idf
-        # with a bridge, without testing its minors
+        # with a bridge, without testing its minors; at a scan's last level
+        # it also drops every member
         skipped = {"vc": 0, "idf": 0}
         for n in range(1, 8):
             for g in enumerate_graphs(n):
+                rows = list(g.adj_masks)
                 isolated = any(g.degree(v) == 0 for v in g.vertices)
                 bridged = bool(bridges(g))
                 for kind in ("vc", "idf"):
                     skip = isolated or (kind == "idf" and bridged)
                     for k in range(3):
                         predicate = obstructions._predicate_for(kind, k)
+                        verdict = obstructions._classify(rows, False, kind, k)
+                        last = obstructions._classify(rows, True, kind, k)
+                        assert rows == list(g.adj_masks)
                         if predicate(g):
-                            assert obstructions._classify(g, kind, k) is True
+                            assert verdict is True and last is None
                             continue
                         minimal = is_minor_minimal(g, predicate)
-                        assert obstructions._classify(g, kind, k) == \
-                            (False if minimal else None), (kind, k, graph6_str(g))
+                        assert verdict == last == (False if minimal else None), \
+                            (kind, k, graph6_str(g))
                         if skip:
                             assert not minimal, (kind, k, graph6_str(g))
                             skipped[kind] += 1
+                        if minimal:
+                            degree = obstructions._LAST_MIN_DEGREE[kind]
+                            assert all(g.degree(v) >= degree for v in g.vertices)
         assert skipped["vc"] < skipped["idf"]
 
     @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
                                         ("idf", 0), ("idf", 1)])
     def test_classifying_before_the_search_keeps_the_scan(self, kind, k):
         # the reference decides every canonical child after its search, with
-        # the full one-step minimality test
+        # the full one-step minimality test; at the last level the scan keeps
+        # the same obstructions and no members
         predicate = obstructions._predicate_for(kind, k)
         classify = partial(obstructions._classify, kind=kind, k=k)
+        last = partial(obstructions._grow_worker, classify=classify, last=True,
+                       min_degree=obstructions._LAST_MIN_DEGREE[kind])
         for n in range(7):
             for parent in enumerate_graphs(n):
                 if not predicate(parent):
@@ -308,10 +337,12 @@ class TestPrunedScan:
                         found.append(graph6_str(child))
                 assert obstructions._grow_worker(graph6_str(parent), classify) == \
                     (members, found)
+                assert last(graph6_str(parent)) == ([], found)
 
     def test_edge_minors_decide_minimality(self):
         # the scans test a failing child with no isolated vertex on its edge
-        # minors only; every G - v is then a subgraph of some G - e
+        # minors only, as row edits that keep the vertex count; every G - v
+        # is then a subgraph of some G - e
         tested = minimal = 0
         for n in range(1, 8):
             for g in enumerate_graphs(n):
@@ -322,7 +353,8 @@ class TestPrunedScan:
                         predicate = obstructions._predicate_for(kind, k)
                         if predicate(g):
                             continue
-                        edge_test = all(predicate(h) for h in obstructions._edge_minors(g))
+                        edge_test = all(obstructions._member(rows, kind, k)
+                                        for rows in obstructions._edge_minor_rows(g.adj_masks))
                         assert edge_test == is_minor_minimal(g, predicate), \
                             (kind, k, graph6_str(g))
                         tested += 1

@@ -173,6 +173,11 @@ class TestWhereTheBranchingRuns:
         assert not idf_decision(g, value - 1)
         assert idf_decision(g, value)
 
+    def test_decision_with_a_kernel_above_the_cover_limit(self):
+        # the bridgeless C101 keeps all 101 vertices in its kernel at k = 51
+        assert idf_decision(cycle_graph(101), 51)
+        assert not idf_decision(cycle_graph(101), 50)
+
     @pytest.mark.parametrize("g", [Graph(1), Graph(75)], ids=["n1", "n75"])
     def test_negative_budget_rejected(self, g):
         with pytest.raises(ValueError):

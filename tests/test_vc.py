@@ -313,3 +313,11 @@ class TestCoverDecisionWhereTheBranchingRuns:
         assert sizes == [75, 75]
         with pytest.raises(ValueError):
             vc_decision(g, -1)
+
+    def test_a_kernel_above_the_limit_is_decided(self, monkeypatch):
+        # C101 is all half-valued, so at k = 51 its kernel is the whole cycle;
+        # at k = 50 it has more than 2k vertices and is decided no
+        sizes = self.count_kernels(monkeypatch)
+        assert vc_decision(cycle_graph(101), 51)
+        assert not vc_decision(cycle_graph(101), 50)
+        assert sizes == [101, 101]
