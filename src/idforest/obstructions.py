@@ -29,7 +29,10 @@ nor a minimal non-member is dropped before it is refined or searched.  The
 last level feeds no further level, so there a scan keeps obstructions only:
 a member is dropped like any other child, the degree and bridge tests that
 rule out minimality come before the membership test, and neighbour sets
-that would leave a vertex of too small a degree are not tried at all.  On
+that would leave a vertex of too small a degree are not tried at all.  At
+every level, a neighbour set that contains the set of a child already found
+outside the class is not tried either: that child is a proper minor of the
+new one, so the new one is outside and not minimal.  On
 top of the scans sit a battery of structural cross-checks relating the two
 sets, and a report reconciling the three named families against the
 computed ground truth.
@@ -60,7 +63,7 @@ ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
 
 Predicate = Callable[[Graph], bool]
-Classifier = Callable[[list[int], bool], bool | None]
+Classifier = Callable[[list[int], bool, list[int]], bool | None]
 
 
 def _twin_classes(adj: tuple[int, ...]) -> list[int]:
@@ -80,7 +83,7 @@ def _twin_classes(adj: tuple[int, ...]) -> list[int]:
     return [mask for mask in classes if mask & (mask - 1)]
 
 
-def _keep(rows: list[int], last: bool) -> bool:
+def _keep(rows: list[int], last: bool, outside: list[int]) -> bool:
     """Enumeration's classifier: every child is a member."""
     return True
 
@@ -91,18 +94,30 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
     by canonical code.
 
     Each tried child is first passed, as its adjacency rows in the raw
-    labelling, to `classify(rows, last)`, which must depend only on the
-    child's class and must not change the rows: a child it returns None for
-    is dropped before any canonical work, and any other verdict comes back
-    with the kept child.  Only neighbour sets that leave every vertex of the
-    child at least `min_degree` neighbours are tried: each parent vertex one
-    short must be picked, a parent with a vertex two short has no children
-    at all, and the set itself needs that many vertices.  A scan passes its
-    minimum degree only for its last level, where it keeps obstructions
-    alone (see `_LAST_MIN_DEGREE`).
+    labelling, to `classify(rows, last, outside)`, which must depend only on
+    the child's class and must not change the rows: a child it returns None
+    for is dropped before any canonical work, and any other verdict comes
+    back with the kept child.  Only neighbour sets that leave every vertex of
+    the child at least `min_degree` neighbours are tried: each parent vertex
+    one short must be picked, a parent with a vertex two short has no
+    children at all, and the set itself needs that many vertices.  A scan
+    passes its minimum degree only for its last level, where it keeps
+    obstructions alone (see `_LAST_MIN_DEGREE`).
+
+    `classify` appends the neighbour set, `rows[-1]`, to `outside` when it
+    has decided that the child lies outside a minor-closed class.  A later
+    set that contains one of those is skipped untried: its child has the
+    outside child as a proper spanning subgraph, so it is outside too and
+    not minimal, and the classifier would return None for it.  The sets are
+    visited in increasing order as integers, which puts every proper subset
+    of a set before the set, so each such skip is found.  Only a failed
+    membership test may append: a child dropped for another reason, a member
+    at the last level or one with an isolated vertex or a bridge, says
+    nothing about its supersets.
 
     A child is kept when deleting the vertex that its own canonical labeling
-    puts last gives back the parent's class.  `_refine` keeps cell order, so
+    puts last gives back the parent's class; the parent is canonical, so its
+    graph6 code is its canonical form.  `_refine` keeps cell order, so
     that vertex lies in the last cell of the child's refined colouring, and
     its first pass ranks by degree, so that cell has maximum degree.  A
     neighbour set is therefore tried only when the new vertex has maximum
@@ -128,10 +143,11 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
     top = max(degrees, default=0)
     top_mask = sum(1 << v for v in range(n) if degrees[v] == top)
     twin_classes = _twin_classes(adj)
-    parent_code = canonical_form(parent)
+    parent_code = graph6_bytes(parent)
     new_bit = 1 << n
     kept: dict[bytes, tuple[Graph, bool]] = {}
     rejected: set[bytes] = set()
+    outside: list[int] = []
     for bits in range(1 << n):
         size = bits.bit_count()
         if (size < top or (size == top and bits & top_mask) or size < min_degree
@@ -141,9 +157,11 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
         if any(mask & ((1 << (bits & mask).bit_length()) - 1) != bits & mask
                for mask in twin_classes):
             continue
+        if any(bits & out == out for out in outside):
+            continue
         rows = [row | new_bit if bits >> v & 1 else row for v, row in enumerate(adj)]
         rows.append(bits)
-        verdict = classify(rows, last)
+        verdict = classify(rows, last, outside)
         if verdict is None:
             continue
         colors = _refine(n + 1, rows, [0] * (n + 1))
@@ -366,15 +384,19 @@ def _edge_minor_rows(rows: list[int]) -> Iterator[list[int]]:
             yield contracted
 
 
-def _classify(rows: list[int], last: bool, kind: str, k: int) -> bool | None:
+def _classify(rows: list[int], last: bool, outside: list[int], kind: str,
+              k: int) -> bool | None:
     """True for a member, False for a minor-minimal non-member, None for any
     other child, which at a scan's last level includes every member.  A
-    non-member with an isolated vertex is not minimal, since deleting that
-    vertex changes neither value.  Nor is an idf non-member with a bridge,
-    since bridge removal preserves the identification number.  At the last
-    level these tests come before the membership test; below it a member
-    must be kept whatever its degrees and bridges.  An isolated vertex
-    changes neither value, so every minor is decided on n rows."""
+    child that fails the membership test has its neighbour set, `rows[-1]`,
+    appended to `outside` (see `_augmented_children`).  A non-member with an
+    isolated vertex is not minimal, since deleting that vertex changes
+    neither value.  Nor is an idf non-member with a bridge, since bridge
+    removal preserves the identification number.  At the last level these
+    tests come before the membership test, so a child they drop there is
+    never appended; below it a member must be kept whatever its degrees and
+    bridges.  An isolated vertex changes neither value, so every minor is
+    decided on n rows."""
     if last and not all(rows):
         return None
     core = rows
@@ -384,6 +406,7 @@ def _classify(rows: list[int], last: bool, kind: str, k: int) -> bool | None:
             return None
     if _vc_split(core, (1 << len(rows)) - 1, k) is not None:
         return None if last else True
+    outside.append(rows[-1])
     if core != rows or not all(rows):
         return None
     return False if all(_member(minor, kind, k) for minor in _edge_minor_rows(rows)) else None

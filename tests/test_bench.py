@@ -4,6 +4,7 @@ function must fail here rather than leave a counter at zero."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -44,3 +45,20 @@ def test_detect_worker_counts_hubs():
         assert cell["hubs_searched"] >= cell["models_found"]
         assert cell["search_ms"] > 0
     assert sum(cell["models_found"] for cell in run["cells"]) > 0
+
+
+def test_enum_worker_counts_searches_and_classifications(monkeypatch):
+    # the worker's code in this interpreter, on levels 5 and 6 only
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "LEVELS", range(5, 7))
+    run = bench.measure_enum()
+    assert list(run) == ["levels", "census"]
+    assert [(level["n"], level["classes"]) for level in run["levels"]] == [(5, 34), (6, 156)]
+    for level in run["levels"]:
+        assert set(level) == {"n", "classes", "sets", "searches", "s"}
+        assert level["sets"] >= level["classes"] > 0 and level["searches"] > 0
+    census = run["census"]
+    assert set(census) == {"searches", "classify", "nt_kernel", "s"}
+    assert census["searches"] > 0 and census["classify"] > 0 and census["s"] > 0

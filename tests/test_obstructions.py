@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 from conftest import unlabeled_graph_count
@@ -18,7 +19,7 @@ from conftest import unlabeled_graph_count
 import idforest.obstructions as obstructions
 from idforest import (Graph, SizeLimitError, bridges, canonical_form,
                       canonical_graph, canonical_labeling,
-                      complete_bipartite_graph, complete_graph,
+                      complete_bipartite_graph, complete_graph, connected_components,
                       cycle_graph, delete_vertex, disjoint_union, enumerate_graphs,
                       family_obstruction_report, gen_marguerite, gen_triangles,
                       graph6_str, graph6_to_graph, idf_decision, idf_exact,
@@ -298,12 +299,18 @@ class TestPrunedScan:
                     skip = isolated or (kind == "idf" and bridged)
                     for k in range(3):
                         predicate = obstructions._predicate_for(kind, k)
-                        verdict = obstructions._classify(rows, False, kind, k)
-                        last = obstructions._classify(rows, True, kind, k)
+                        outside, last_outside = [], []
+                        verdict = obstructions._classify(rows, False, outside, kind, k)
+                        last = obstructions._classify(rows, True, last_outside, kind, k)
                         assert rows == list(g.adj_masks)
                         if predicate(g):
                             assert verdict is True and last is None
+                            assert outside == last_outside == []
                             continue
+                        # a failed membership test reports the neighbour set,
+                        # except at the last level when a skip rule came first
+                        assert outside == [rows[-1]]
+                        assert last_outside == ([] if skip else [rows[-1]])
                         minimal = is_minor_minimal(g, predicate)
                         assert verdict == last == (False if minimal else None), \
                             (kind, k, graph6_str(g))
@@ -316,7 +323,7 @@ class TestPrunedScan:
         assert skipped["vc"] < skipped["idf"]
 
     @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
-                                        ("idf", 0), ("idf", 1)])
+                                        ("idf", 0), ("idf", 1), ("idf", 2)])
     def test_classifying_before_the_search_keeps_the_scan(self, kind, k):
         # the reference decides every canonical child after its search, with
         # the full one-step minimality test; at the last level the scan keeps
@@ -339,6 +346,76 @@ class TestPrunedScan:
                     (members, found)
                 assert last(graph6_str(parent)) == ([], found)
 
+    @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
+                                        ("idf", 0), ("idf", 1), ("idf", 2)])
+    def test_superset_skips_are_outside_and_not_minimal(self, kind, k):
+        # each member parent is augmented twice, at an inner and at the last
+        # level: once as the scan does, and once with the decided-outside
+        # sets thrown away, so that no set is skipped for containing one
+        predicate = obstructions._predicate_for(kind, k)
+        classify = partial(obstructions._classify, kind=kind, k=k)
+        verdicts: dict[tuple[str, int], bool] = {}
+        skipped = 0
+        for n in range(7):
+            for parent in enumerate_graphs(n):
+                if not predicate(parent):
+                    continue
+                for last, min_degree in ((False, 0), (True, obstructions._LAST_MIN_DEGREE[kind])):
+                    tried: dict[bool, list[int]] = {True: [], False: []}
+
+                    def spy(rows, last, outside, pruned):
+                        tried[pruned].append(rows[-1])
+                        return classify(rows, last, outside if pruned else [])
+
+                    children = {pruned: obstructions._augmented_children(
+                        parent, partial(spy, pruned=pruned), last=last, min_degree=min_degree)
+                        for pruned in (True, False)}
+                    assert children[True] == children[False]
+                    assert set(tried[True]) <= set(tried[False])
+                    for bits in set(tried[False]) - set(tried[True]):
+                        key = (graph6_str(parent), bits)
+                        if key not in verdicts:
+                            child = with_new_vertex(parent, [v for v in range(n) if bits >> v & 1])
+                            verdicts[key] = (predicate(child)
+                                             or is_minor_minimal(child, predicate))
+                        assert not verdicts[key], (kind, k, key)
+                        skipped += 1
+        assert skipped > 0
+
+    @pytest.mark.parametrize("kind,k", [("vc", 2), ("idf", 1)])
+    def test_only_decided_outside_sets_skip_their_supersets(self, kind, k):
+        # K2+K1 (edge 12) grown as a last level tries {0} (2K2), {0, 1} (P4),
+        # {1, 2} (K3+K1) and {0, 1, 2} (the paw).  For vc at k = 2 the first,
+        # second and fourth are members, and K3+K1 is dropped for its
+        # isolated vertex.  For idf at k = 1 K3+K1 and the paw are outside,
+        # but every child is dropped for an isolated vertex or a bridge
+        # before its membership test.  None of these drops decides anything
+        # about a superset, so all four sets reach the classifier.
+        parent = graph6_to_graph("BG")
+        assert sorted(parent.edges) == [(1, 2)]
+        seen, appended = [], []
+
+        def spy(rows, last, outside):
+            before = len(outside)
+            verdict = obstructions._classify(rows, last, outside, kind, k)
+            seen.append(rows[-1])
+            appended.extend(outside[before:])
+            return verdict
+
+        assert obstructions._augmented_children(parent, spy, last=True) == []
+        assert seen == [0b001, 0b011, 0b110, 0b111] and appended == []
+        # a classifier that reports {0} as outside cuts both sets above it
+        seen.clear()
+
+        def stub(rows, last, outside):
+            seen.append(rows[-1])
+            if rows[-1] == 0b001:
+                outside.append(rows[-1])
+            return None
+
+        obstructions._augmented_children(parent, stub, last=True)
+        assert seen == [0b001, 0b110]
+
     def test_edge_minors_decide_minimality(self):
         # the scans test a failing child with no isolated vertex on its edge
         # minors only, as row edits that keep the vertex count; every G - v
@@ -360,6 +437,30 @@ class TestPrunedScan:
                         tested += 1
                         minimal += edge_test
         assert (tested, minimal) == (5080, 9)
+
+
+class TestUnionIdentity:
+    def test_disconnected_cover_obstructions_are_unions_of_connected_ones(self):
+        # cover number adds over components, so a disconnected graph is a
+        # minimal one of cover number k + 1 exactly when it is a disjoint
+        # union of two or more connected minimal ones whose cover numbers
+        # sum to k + 1; the scans compute each catalog with no such rule
+        catalogs = [obs_vc(k).obstructions for k in range(3)]
+        catalogs.append(tuple(graph6_to_graph(line) for line in
+                              (DATA / "obs-vc-k3.g6").read_text().split()))
+        connected = [[g for g in catalog if len(connected_components(g)) == 1]
+                     for catalog in catalogs]
+        assert [len(c) for c in connected] == [1, 1, 2, 3]
+        # the connected obstructions of catalog j have cover number j + 1
+        pieces = [(j + 1, g) for j, graphs in enumerate(connected) for g in graphs]
+        for k, catalog in enumerate(catalogs):
+            unions = [disjoint_union(*(g for _, g in parts))
+                      for size in range(2, k + 2)
+                      for parts in combinations_with_replacement(pieces, size)
+                      if sum(value for value, _ in parts) == k + 1]
+            disconnected = [g for g in catalog if len(connected_components(g)) > 1]
+            assert len(forms(unions)) == len(unions) == len(disconnected), k
+            assert forms(unions) == forms(disconnected), k
 
 
 class TestBudgetThreeCatalogs:
