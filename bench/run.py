@@ -38,6 +38,11 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   or `vc` are counted too.  These counters wrap the functions in the timed
   pass itself: one extra Python call per counted call, about 0.4 us against
   about 140 us a canonical search at level 8.
+- `kernel`: `idf_kernel(G, n // 10)` at scale, on G with 2n distinct
+  random edges (seed 0) for each n in KERNEL_SIZES, and on DIAMONDS
+  diamonds in a row.  Each graph goes to a fresh interpreter, which times
+  one `idf_kernel` call and reports its own peak RSS and the kernel's size,
+  budget, forced vertices and verdict.
 
 Counters come from each side's first run.  For each row the file reports
 each side's median and quartiles of the time over all runs, and in how many
@@ -240,6 +245,59 @@ def measure_enum() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# kernel: idf_kernel at scale
+
+KERNEL_SIZES = (1_000, 10_000)
+DIAMONDS = 1_000
+
+# one kernel in a fresh interpreter: the graph (n, edges, k) on stdin, the
+# time of the idf_kernel call and the process's peak RSS on stdout
+_KERNEL_CHILD = """
+import json, resource, sys
+from time import perf_counter
+from idforest import Graph, idf_kernel
+n, edges, k = json.load(sys.stdin)
+g = Graph(n, edges)
+t0 = perf_counter()
+ki = idf_kernel(g, k)
+s = perf_counter() - t0
+json.dump({"kernel_n": ki.graph.n, "budget": ki.budget, "forced": len(ki.forced),
+           "decided_no": ki.decided_no,
+           "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+           "s": s}, sys.stdout)
+"""
+
+
+def _kernel_graphs() -> list[tuple[str, int, list[tuple[int, int]]]]:
+    """(name, n, edges): for each n in KERNEL_SIZES, 2n distinct random
+    edges (seed 0); then DIAMONDS diamonds in a row, hubs 3i and tips 3i+1,
+    3i+2 joined to hubs 3i and 3i+3."""
+    graphs = []
+    for n in KERNEL_SIZES:
+        rng = random.Random(0)
+        edges: set[tuple[int, int]] = set()
+        while len(edges) < 2 * n:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        graphs.append(("sparse", n, sorted(edges)))
+    chain = [(3 * i + h, 3 * i + t) for i in range(DIAMONDS) for t in (1, 2) for h in (0, 3)]
+    graphs.append(("diamonds", 3 * DIAMONDS + 1, sorted(chain)))
+    return graphs
+
+
+def measure_kernel() -> dict:
+    import idforest
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idforest.__file__)))
+    rows = []
+    for name, n, edges in _kernel_graphs():
+        k = n // 10
+        out = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env, check=True,
+                             input=json.dumps([n, edges, k]), capture_output=True,
+                             text=True).stdout
+        rows.append({"graph": name, "n": n, "m": len(edges), "k": k, **json.loads(out)})
+    return {"graphs": rows}
+
+
+# ---------------------------------------------------------------------------
 # the runner
 
 class Layer(NamedTuple):
@@ -263,6 +321,10 @@ LAYERS = {
                   "searches = _search calls; census = idforest obstructions --k 2 in "
                   "the same interpreter, with its _search, _classify and nt_kernel "
                   "calls"),
+    "kernel": Layer(measure_kernel, "s", ("graph", "n", "m", "k"),
+                    "idf_kernel(G, n // 10), one call in a fresh interpreter a run, on "
+                    "G with 2n random edges and on a chain of diamonds; peak RSS is "
+                    "that interpreter's, from each side's first run"),
 }
 
 

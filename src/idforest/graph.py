@@ -194,11 +194,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in keep:
         g._check_vertex(v)
     adj = g.adj_masks
-    rows = [adj[v] for v in keep]
-    dropped = set(range(g.n)).difference(keep)
-    for v in sorted(dropped, reverse=True):  # as delete_vertex, highest first
-        low = (1 << v) - 1
-        rows = [row & low | row >> v + 1 << v for row in rows]
+    kept = sum(1 << v for v in keep)
+    rank = {v: i for i, v in enumerate(keep)}
+    rows = [sum(1 << rank[w] for w in _bits(adj[v] & kept)) for v in keep]
     return Graph._from_rows(rows), tuple(keep)
 
 
@@ -232,6 +230,18 @@ def _edge_list(adj_masks: Sequence[int]) -> list[Edge]:
     return [(u, v) for u, row in enumerate(adj_masks) for v in _bits(row >> u + 1 << u + 1)]
 
 
+def _neighbours(adj: Sequence[int], mask: int) -> int:
+    """The vertices outside the vertex mask `mask` with a neighbour in it:
+    the union of its rows, less `mask`."""
+    out = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out |= adj[low.bit_length() - 1]
+        rest ^= low
+    return out & ~mask
+
+
 def components(adj_masks: tuple[int, ...], alive: int) -> list[int]:
     """Components of the subgraph that the vertex mask `alive` induces, as
     vertex masks ordered by lowest vertex.  Each grows breadth-first, one
@@ -240,10 +250,7 @@ def components(adj_masks: tuple[int, ...], alive: int) -> list[int]:
     while alive:
         comp = frontier = alive & -alive
         while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj_masks[v]
-            frontier = reach & alive & ~comp
+            frontier = _neighbours(adj_masks, frontier) & alive & ~comp
             comp |= frontier
         comps.append(comp)
         alive &= ~comp
@@ -327,13 +334,18 @@ def bridges(g: Graph) -> EdgeSet:
     return _low_link(g.adj_masks)[0]
 
 
+def _core(rows: Sequence[int]) -> list[int]:
+    """The rows with every bridge deleted."""
+    core = list(rows)
+    for u, v in _low_link(rows)[0]:
+        core[u] ^= 1 << v
+        core[v] ^= 1 << u
+    return core
+
+
 def remove_bridges(g: Graph) -> Graph:
     """The bridgeless core: same vertex set, bridges deleted."""
-    rows = list(g.adj_masks)
-    for u, v in _low_link(rows)[0]:
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-    return Graph._from_rows(rows)
+    return Graph._from_rows(_core(g.adj_masks))
 
 
 def cut_vertices(g: Graph) -> frozenset:

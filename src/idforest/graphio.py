@@ -121,5 +121,8 @@ def edge_list_to_graph(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ValueError(f"edge line must be two integers, got {ln!r}") from None
     return Graph(n, edges)

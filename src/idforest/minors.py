@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, _edge_list, components, cycle_graph,
-                    disjoint_union, induced_subgraph, remove_bridges)
+from .graph import (Graph, _bits, _edge_list, _neighbours, components, cycle_graph,
+                    disjoint_union, remove_bridges)
 from .identify import VertexPartition
-from .oracle import MinorModel, _connected_subsets, _mask_neighbors
+from .oracle import MinorModel, _connected_subsets
 from .solver import _split_cover
 from .vc import vc_exact
 
@@ -336,7 +336,7 @@ def marguerite_model(g: Graph, k: int) -> MinorModel | None:
         if budget <= 0:
             return False
         for bmask in _connected_subsets(adj, free, budget):
-            nb = _mask_neighbors(adj, bmask)
+            nb = _neighbours(adj, bmask)
             rest = free & ~bmask
             if p == 0:
                 if not _petal_paths(adj, rest, nb, k, memo):
@@ -484,9 +484,7 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
     kept_nbrs = [0] * g.n  # forest edges inside some trimmed tree
     internal = 0
     for comp in components(adj, xmask):
-        contacts = 0
-        for v in _bits(comp):
-            contacts |= forest[v]
+        contacts = _neighbours(forest, comp)
         for tree in trees:
             if not tree & contacts:
                 continue
@@ -501,7 +499,5 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
     core = remove_bridges(g)
     uncovered = [0 if cover >> v & 1 else row & ~cover for v, row in enumerate(core.adj_masks)]
     if any(uncovered):
-        support = [v for v, row in enumerate(uncovered) if row]
-        sub, origin = induced_subgraph(Graph._from_rows(uncovered), support)
-        cover |= _mask([origin[v] for v in vc_exact(sub).cover])
+        cover |= _mask(vc_exact(Graph._from_rows(uncovered)).cover)
     return DichotomyOutcome(None, None, None, _split_cover(core, frozenset(_bits(cover))))

@@ -50,7 +50,7 @@ from itertools import combinations
 
 from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, _low_link, _relabel, bridges, connected_components,
+from .graph import (Graph, _bits, _core, _relabel, bridges, connected_components,
                     contract_edge, delete_edge, delete_vertex, disjoint_union,
                     induced_subgraph, is_2_connected)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
@@ -346,15 +346,6 @@ def _predicate_for(kind: str, k: int) -> Predicate:
 # isolated vertex is not minimal, nor is an idf non-member with a pendant
 # edge, which is a bridge.
 _LAST_MIN_DEGREE = {"vc": 1, "idf": 2}
-
-
-def _core(rows: list[int]) -> list[int]:
-    """The rows with every bridge deleted."""
-    core = list(rows)
-    for u, v in _low_link(rows)[0]:
-        core[u] ^= 1 << v
-        core[v] ^= 1 << u
-    return core
 
 
 def _member(rows: list[int], kind: str, k: int) -> bool:

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from .errors import SizeLimitError
-from .graph import Graph, is_forest
+from .graph import Graph, _bits, _neighbours, components, is_forest
 from .identify import VertexPartition, identify_partition
 
 BRUTE_IDF_MAX = 9
@@ -165,16 +165,6 @@ def _touching(host: Graph, a: frozenset, b: frozenset) -> bool:
     return any(w in b for v in a for w in host.adj[v])
 
 
-def _mask_neighbors(adj: tuple[int, ...], mask: int) -> int:
-    out = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        out |= adj[v]
-        m &= m - 1
-    return out & ~mask
-
-
 def _connected_subsets(adj: tuple[int, ...], allowed: int, max_size: int) -> Iterator[int]:
     """All connected subsets (as bitmasks) of the allowed set, each once.
 
@@ -195,11 +185,11 @@ def _connected_subsets(adj: tuple[int, ...], allowed: int, max_size: int) -> Ite
                 c = (f & -f).bit_length() - 1
                 cbit = 1 << c
                 f &= f - 1
-                new_frontier = (f | (_mask_neighbors(adj, current | cbit) & scope)) & ~banned & ~(current | cbit)
+                new_frontier = (f | (_neighbours(adj, current | cbit) & scope)) & ~banned & ~(current | cbit)
                 yield from grow(current | cbit, new_frontier, banned)
                 banned |= cbit
 
-        yield from grow(seed_bit, _mask_neighbors(adj, seed_bit) & scope, ~scope)
+        yield from grow(seed_bit, _neighbours(adj, seed_bit) & scope, ~scope)
         rest &= rest - 1
 
 
@@ -213,25 +203,10 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
         return MinorModel(h, {})
     adj = g.adj_masks
     # assign big pattern components first, high degree vertices first inside them
-    comps: list[list[int]] = []
-    seen: set = set()
-    for s in range(h.n):
-        if s in seen:
-            continue
-        stack, comp = [s], [s]
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in h.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
-    comps.sort(key=len, reverse=True)
+    comps = sorted(components(h.adj_masks, (1 << h.n) - 1), key=int.bit_count, reverse=True)
     order: list[int] = []
     for comp in comps:
-        order.extend(sorted(comp, key=lambda v: (-h.degree(v), v)))
+        order.extend(sorted(_bits(comp), key=lambda v: (-h.degree(v), v)))
     pos = {v: i for i, v in enumerate(order)}
 
     assignment: dict[int, int] = {}  # pattern vertex -> branch mask
@@ -248,7 +223,7 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
         fixed_nbrs = [assignment[q] for q in h.adj[p] if q in assignment]
         open_nbrs = sum(1 for q in h.adj[p] if q not in assignment)
         for bmask in _connected_subsets(adj, free, budget):
-            nb = _mask_neighbors(adj, bmask)
+            nb = _neighbours(adj, bmask)
             if any(not (nb & s) for s in fixed_nbrs):
                 continue
             if bin(nb & free & ~bmask).count("1") < open_nbrs:
@@ -261,6 +236,5 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
 
     if not place(0, 0):
         return None
-    sets = {p: frozenset(v for v in range(g.n) if (mask >> v) & 1)
-            for p, mask in assignment.items()}
+    sets = {p: frozenset(_bits(mask)) for p, mask in assignment.items()}
     return MinorModel(pattern=h, branch_sets=sets)

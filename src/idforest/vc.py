@@ -132,14 +132,14 @@ def nt_kernel(g: Graph, k: int) -> KernelInstance:
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    _, vhalf, v1 = lp_half_integral(g)
-    budget = k - len(v1)
+    left, right = _double_cover_min_cover(g)
+    v1, half = left & right, left ^ right
+    budget = k - v1.bit_count()
     adj = g.adj_masks
-    half = sum(1 << v for v in vhalf)
-    sub, origin = induced_subgraph(g, [v for v in vhalf if adj[v] & half])
+    sub, origin = induced_subgraph(g, [v for v in _bits(half) if adj[v] & half])
     if budget < 0 or sub.n > 2 * budget:
         return KernelInstance(Graph(2, [(0, 1)]), 0, frozenset(), {}, True)
-    return KernelInstance(sub, budget, frozenset(v1), dict(enumerate(origin)), False)
+    return KernelInstance(sub, budget, frozenset(_bits(v1)), dict(enumerate(origin)), False)
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +257,11 @@ def vc_exact(g: Graph) -> VcSolution:
     """
     if g.n > VC_MAX_VERTICES:
         raise SizeLimitError(f"vc_exact supports up to {VC_MAX_VERTICES} vertices, got {g.n}")
-    _, vhalf, v1 = lp_half_integral(g)
-    sol = _vc_split(g.adj_masks, sum(1 << v for v in vhalf), len(vhalf))
+    left, right = _double_cover_min_cover(g)
+    half = left ^ right
+    sol = _vc_split(g.adj_masks, half, half.bit_count())
     assert sol is not None
-    cover = frozenset(v1) | frozenset(_bits(sol))
+    cover = frozenset(_bits(left & right | sol))
     return VcSolution(value=len(cover), cover=cover)
 
 

@@ -62,3 +62,20 @@ def test_enum_worker_counts_searches_and_classifications(monkeypatch):
     census = run["census"]
     assert set(census) == {"searches", "classify", "nt_kernel", "s"}
     assert census["searches"] > 0 and census["classify"] > 0 and census["s"] > 0
+
+
+def test_kernel_worker_times_and_sizes_each_graph(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "KERNEL_SIZES", (200,))
+    monkeypatch.setattr(bench, "DIAMONDS", 20)
+    run = bench.measure_kernel()
+    assert list(run) == ["graphs"]
+    assert [(g["graph"], g["n"], g["m"], g["k"]) for g in run["graphs"]] == \
+        [("sparse", 200, 400, 20), ("diamonds", 61, 80, 6)]
+    for g in run["graphs"]:
+        assert set(g) == {"graph", "n", "m", "k", "kernel_n", "budget", "forced",
+                          "decided_no", "peak_rss_mb", "s"}
+        assert g["kernel_n"] <= 2 * g["k"] + 1 and g["budget"] <= g["k"] + 1
+        assert g["peak_rss_mb"] > 0 and g["s"] > 0

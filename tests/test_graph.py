@@ -106,6 +106,23 @@ class TestPackedMatrix:
         assert graph._relabel(g, perm) == Graph(n, [(perm[a], perm[b]) for a, b in g.edges])
         assert remove_bridges(g) == Graph(n, g.edges - bridges(g))
 
+    @pytest.mark.parametrize("n", [65, 100, 150, 300, 2000])
+    def test_induced_subgraph_above_64_vertices(self, n):
+        # rows wider than 64 bits are not one typed array; check the gather
+        # against the edge-list definition on a sparse graph (2n edges)
+        rng = random.Random(2000 + n)
+        edges = set()
+        while len(edges) < 2 * n:
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(n, edges)
+        for keep in ([], range(n), range(0, n, 3), rng.sample(range(n), rng.randint(1, n))):
+            h, origin = induced_subgraph(g, list(keep) + list(keep)[:3])  # repeats are ignored
+            assert origin == tuple(sorted(keep))
+            index = {w: i for i, w in enumerate(origin)}
+            assert h == Graph(len(origin), [(index[a], index[b]) for a, b in edges
+                                            if a in index and b in index])
+
     def test_trailing_isolated_vertices_take_no_storage(self):
         # trailing all-zero rows are dropped, so a large graph without
         # edges costs nothing and equality still compares like with like

@@ -110,15 +110,18 @@ class TestEdgeList:
     def test_parses_isolated_vertices(self):
         assert edge_list_to_graph("4 1\n1 3\n") == Graph(4, [(1, 3)])
 
-    @pytest.mark.parametrize("text", [
-        "",                 # empty
-        "3\n",              # header is not 'n m'
-        "x y\n",            # non-numeric header
-        "3 2\n0 1\n",       # fewer edge lines than announced
-        "3 1\n0 1\n1 2\n",  # more edge lines than announced
-        "2 1\n0 3\n",       # endpoint out of range
-        "2 1\n0\n",         # malformed edge line
-    ])
-    def test_rejects_malformed_input(self, text):
-        with pytest.raises(ValueError):
+    MALFORMED = [
+        ("", "empty"),
+        ("3\n", "header must be 'n m'"),
+        ("x y\n", "header must be two integers"),
+        ("3 2\n0 1\n", "announces 2 edges but 1"),
+        ("3 1\n0 1\n1 2\n", "announces 1 edges but 2"),
+        ("2 1\n0 3\n", "leaves vertex range"),
+        ("2 1\n0\n", "edge line must be 'u v'"),
+        ("2 1\n0 x\n", "edge line must be two integers, got '0 x'"),
+    ]
+
+    @pytest.mark.parametrize("text,match", MALFORMED, ids=[text for text, _ in MALFORMED])
+    def test_rejects_malformed_input(self, text, match):
+        with pytest.raises(ValueError, match=match):
             edge_list_to_graph(text)
