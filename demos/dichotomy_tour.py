@@ -3,8 +3,9 @@
 For a parameter k, the detector either exhibits one of three families as a
 minor (k disjoint cycles, a single cycle of length k, or a k-petal
 marguerite - triangles sharing one hub) or, when all three searches come up
-empty, builds an identification set that provably turns the graph into a
-forest.  Both outcomes are checkable objects, and this script checks them.
+empty, returns an identification set of minimum order that provably turns
+the graph into a forest.  Both outcomes are checkable objects, and this
+script checks them.
 """
 
 from __future__ import annotations

@@ -112,6 +112,8 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
 
 def _cmd_vc(args: argparse.Namespace) -> int:
     g = _read_graph(args)
+    if args.k is not None and args.k < 0:
+        raise ValueError(f"budget must be non-negative, got {args.k}")
     sol = vc_exact(g)
     payload = {"value": sol.value, "cover": sorted(sol.cover)}
     lines = [f"vc = {sol.value}", "cover: " + ",".join(map(str, sorted(sol.cover)))]

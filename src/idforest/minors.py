@@ -13,10 +13,9 @@ petals still needed: a packing test for paths between the hub's contacts
 
 The dichotomy either exhibits one of the three families as a minor at
 parameter k (with an explicit branch-set model) or, when all three detectors
-come up short, builds an identification set from an exact feedback vertex
-set plus the skeleton connecting it, padded to a cover of the bridgeless
-core so the result is unconditionally valid.  It reads only adjacency
-rows, and a witness packs its branch sets into one int.
+come up short, returns an identification set of minimum order: a minimum
+vertex cover of the bridgeless core, split per core component.  It reads
+only adjacency rows, and a witness packs its branch sets into one int.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, _edge_list, _neighbours, components, cycle_graph,
-                    disjoint_union, remove_bridges)
+from .graph import (Graph, _bits, _edge_list, _neighbours, cycle_graph, disjoint_union,
+                    remove_bridges)
 from .identify import VertexPartition
 from .oracle import MinorModel, _connected_subsets
 from .solver import _split_cover
@@ -440,27 +439,14 @@ def exact_fvs(g: Graph) -> frozenset:
     return solve((1 << g.n) - 1)
 
 
-def _trimmed_tree(forest: list[int], tree: int, contacts: int) -> int:
-    """The smallest subtree of a tree (a vertex mask, with adjacency rows
-    `forest`) that holds all its contact vertices, found by dropping
-    non-contact leaves until none is left."""
-    while True:
-        leaves = [v for v in _bits(tree & ~contacts) if (forest[v] & tree).bit_count() <= 1]
-        if not leaves:
-            return tree
-        tree &= ~_mask(leaves)
-
-
 def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
-    """Find one of the three families at parameter k as a minor, or build a
-    valid identification set.
+    """Find one of the three families at parameter k as a minor, or return an
+    identification set of minimum order.
 
     Detector order: disjoint cycles first, then a single long cycle (only
-    meaningful for k >= 3), then the marguerite search.  The fallback takes
-    an exact feedback vertex set X, keeps the parts of the leftover forest
-    that carry connections (trimmed trees toward each component of g[X],
-    plus inter-tree edges), forces all of that into a cover of the
-    bridgeless core, and emits the cover split per core component.
+    meaningful for k >= 3), then the marguerite search.  The fallback is a
+    minimum vertex cover of the bridgeless core split per core component,
+    the partition `idf_exact` returns, so its order is exactly idf(g).
     """
     if k < 1:
         raise ValueError(f"parameter must be >= 1, got {k}")
@@ -476,28 +462,5 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
         if model is not None:
             return DichotomyOutcome("marguerite", k, model, None)
 
-    adj = g.adj_masks
-    xmask = _mask(exact_fvs(g))
-    fmask = ((1 << g.n) - 1) & ~xmask
-    forest = [row & fmask for row in adj]
-    trees = components(forest, fmask)
-    kept_nbrs = [0] * g.n  # forest edges inside some trimmed tree
-    internal = 0
-    for comp in components(adj, xmask):
-        contacts = _neighbours(forest, comp)
-        for tree in trees:
-            if not tree & contacts:
-                continue
-            kept = _trimmed_tree(forest, tree, contacts & tree)
-            for v in _bits(kept):
-                kept_nbrs[v] |= forest[v] & kept
-                if (forest[v] & kept).bit_count() >= 2:
-                    internal |= 1 << v
-    extra_endpoints = _mask([v for v in _bits(fmask) if forest[v] & ~kept_nbrs[v]])
-    cover = xmask | extra_endpoints | internal
-
     core = remove_bridges(g)
-    uncovered = [0 if cover >> v & 1 else row & ~cover for v, row in enumerate(core.adj_masks)]
-    if any(uncovered):
-        cover |= _mask(vc_exact(Graph._from_rows(uncovered)).cover)
-    return DichotomyOutcome(None, None, None, _split_cover(core, frozenset(_bits(cover))))
+    return DichotomyOutcome(None, None, None, _split_cover(core, vc_exact(core).cover))

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterator, Mapping
 
 from .errors import SizeLimitError
-from .graph import Graph, _bits, _neighbours, components, is_forest
+from .graph import Graph, _bits, _neighbours, components, induced_subgraph, is_forest
 from .identify import VertexPartition, identify_partition
 
 BRUTE_IDF_MAX = 9
@@ -23,39 +23,35 @@ BRUTE_MINOR_MAX = 12
 
 
 def _set_partitions(items: list) -> Iterator[list[list]]:
-    """All set partitions, by restricted growth strings."""
-    n = len(items)
-    if n == 0:
+    """All set partitions without singleton blocks: the first item's block is
+    the item plus a nonempty choice of mates, and the rest recurse."""
+    if not items:
         yield []
         return
-    rgs = [0] * n
-
-    def rec(i: int, maxv: int):
-        if i == n:
-            blocks: dict[int, list] = {}
-            for x, b in zip(items, rgs):
-                blocks.setdefault(b, []).append(x)
-            yield [blocks[b] for b in sorted(blocks)]
-            return
-        for b in range(maxv + 2):
-            rgs[i] = b
-            yield from rec(i + 1, max(maxv, b))
-
-    yield from rec(1, 0)
+    first, rest = items[0], items[1:]
+    for size in range(1, len(rest) + 1):
+        for mates in combinations(rest, size):
+            left = [x for x in rest if x not in mates]
+            for blocks in _set_partitions(left):
+                yield [[first, *mates], *blocks]
 
 
 def brute_idf(g: Graph) -> int:
-    """idf by exhausting supports in increasing size, then all partitions of
-    the support with every block of size >= 2 (singleton blocks are no-ops)."""
+    """idf by exhausting supports X in increasing size, then all partitions
+    of X with every block of size >= 2 (singleton blocks are no-ops).
+
+    Identifying X keeps G - X as an induced subgraph of the quotient, so a
+    support is tried only when G - X is a forest.
+    """
     if g.n > BRUTE_IDF_MAX:
         raise SizeLimitError(f"brute_idf supports up to {BRUTE_IDF_MAX} vertices, got {g.n}")
     if is_forest(g):
         return 0
     for s in range(2, g.n + 1):
         for support in combinations(range(g.n), s):
+            if not is_forest(induced_subgraph(g, set(range(g.n)).difference(support))[0]):
+                continue
             for blocks in _set_partitions(list(support)):
-                if any(len(b) < 2 for b in blocks):
-                    continue
                 h, _ = identify_partition(g, VertexPartition(blocks))
                 if is_forest(h):
                     return s

@@ -16,8 +16,8 @@ from conftest import random_graph, unlabeled_graph_count
 
 import pytest
 
-from idforest import (Graph, brute_ecf, brute_idf, brute_minor, brute_vc,
-                      bridges, apex_bridgeless, canonical_form, contract_edge,
+from idforest import (BRUTE_IDF_MAX, Graph, brute_ecf, brute_idf, brute_minor,
+                      brute_vc, bridges, apex_bridgeless, canonical_form, contract_edge,
                       delete_edge, delete_vertex, dichotomy, complete_graph,
                       cycle_graph, disjoint_union, gen_antichain_h, gen_cycle,
                       gen_marguerite, gen_triangles, graph6_str, idf_decision,
@@ -184,6 +184,12 @@ def test_criterion_07_every_dichotomy_outcome_validates():
                 invalid += 1
         elif not is_id_forest_partition(g, outcome.id_set):
             invalid += 1
+        else:
+            # the fallback has minimum order; brute_idf checks that without
+            # the vc theorem wherever it reaches
+            assert outcome.id_set.order == idf_exact(g).value
+            if g.n <= BRUTE_IDF_MAX:
+                assert outcome.id_set.order == brute_idf(g)
     print(f"\ndichotomy: {len(cases)} cases, {witnesses} witnesses, "
           f"{len(cases) - witnesses} identification sets")
     assert invalid == 0

@@ -139,6 +139,10 @@ class TestVc:
         status, payload = run_json(capsys, "vc", "Dhc", "--k", "2")
         assert status == 1 and payload["decision"] is False
 
+    def test_negative_budget_is_unusable_input(self, capsys):
+        assert main(["vc", "Dhc", "--k", "-1"]) == 2
+        assert "budget must be non-negative, got -1" in capsys.readouterr().err
+
 
 class TestDetect:
     def test_witness(self, capsys):

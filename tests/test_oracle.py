@@ -17,6 +17,7 @@ from idforest import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_MINOR_MAX,
                       cycle_graph, disjoint_union, gen_antichain_h,
                       gen_marguerite, identify_partition, is_forest,
                       is_id_forest_partition, path_graph, vc_exact)
+from idforest.oracle import _set_partitions
 
 
 def bowtie() -> Graph:
@@ -79,6 +80,29 @@ class TestBruteIdf:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             brute_idf(Graph(BRUTE_IDF_MAX + 1))
+
+    def test_partitions_are_the_singleton_free_ones(self):
+        # every set partition once, by restricted growth strings, filtered
+        # here; the counts are OEIS A000296
+        def growth_strings(n: int, prefix: tuple = (), top: int = -1):
+            if len(prefix) == n:
+                yield prefix
+                return
+            for b in range(top + 2):
+                yield from growth_strings(n, prefix + (b,), max(top, b))
+
+        counts = []
+        for n in range(9):
+            reference = set()
+            for rgs in growth_strings(n):
+                blocks = [frozenset(v for v in range(n) if rgs[v] == b) for b in set(rgs)]
+                if all(len(b) >= 2 for b in blocks):
+                    reference.add(frozenset(blocks))
+            generated = [frozenset(map(frozenset, p)) for p in _set_partitions(list(range(n)))]
+            assert len(generated) == len(set(generated))
+            assert set(generated) == reference
+            counts.append(len(generated))
+        assert counts == [1, 0, 1, 1, 4, 11, 41, 162, 715]
 
 
 def all_partitions_of_subsets(n: int):
