@@ -15,13 +15,13 @@ from .canon import (CANON_MAX_VERTICES, canonical_form, canonical_graph,
 from .errors import (Graph6ParseError, InvalidBlockError, NotPresentError,
                      SizeLimitError)
 from .graph import (Graph, bridges, complete_bipartite_graph, complete_graph,
-                    connected_components, contract_edge, cut_vertices,
-                    cycle_graph, delete_edge, delete_vertex, disjoint_union,
+                    connected_components, cut_vertices, cycle_graph,
+                    delete_edge, delete_vertex, disjoint_union,
                     induced_subgraph, is_2_connected, is_connected, is_forest,
                     path_graph, remove_bridges, with_new_vertex)
 from .graphio import (GRAPH6_MAX_VERTICES, edge_list_str, edge_list_to_graph,
                       graph6_bytes, graph6_str, graph6_to_graph)
-from .identify import (HeirMap, VertexPartition, identify_partition,
+from .identify import (VertexPartition, contract_edge, identify_partition,
                        identify_set, is_id_forest_partition,
                        normalize_partition, partition_to_text,
                        text_to_partition)
@@ -51,7 +51,7 @@ __all__ = [
     "CYCLE_SEARCH_MAX", "MARGUERITE_SEARCH_MAX", "ENUMERATION_MAX_VERTICES",
     "Graph", "Graph6ParseError", "InvalidBlockError", "NotPresentError",
     "SizeLimitError",
-    "HeirMap", "VertexPartition", "IdfCertificate", "KernelInstance",
+    "VertexPartition", "IdfCertificate", "KernelInstance",
     "VcSolution", "EcfValue", "MinorModel", "DichotomyOutcome",
     "ObstructionReport", "CheckResult", "FamilyClaim",
     "bridges", "complete_bipartite_graph", "complete_graph",

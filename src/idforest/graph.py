@@ -2,9 +2,9 @@
 structure queries the rest of the package is built on.
 
 Vertices of a Graph with n vertices are exactly 0..n-1.  Derived graphs
-(vertex deletion, contraction, induced subgraphs) relabel densely; the
-relabelling conventions are documented on each operation so callers can
-translate witnesses back.
+(vertex deletion, induced subgraphs) relabel densely; the relabelling
+conventions are documented on each operation so callers can translate
+witnesses back.
 """
 
 from __future__ import annotations
@@ -384,24 +384,3 @@ def delete_edge(g: Graph, e: Edge) -> Graph:
         raise NotPresentError(f"edge {e} not in graph")
     return Graph(g.n, g.edges - {ne})
 
-
-def contract_edge(g: Graph, e: Edge) -> Graph:
-    """Contract edge e: both ends vanish, a new last vertex inherits their
-    neighborhoods (parallel edges merged, loops dropped).
-
-    Labels: untouched vertices keep their relative order at 0..n-3, the heir
-    is n-2.  This matches the labelling of identification of the 2-block {u,v}.
-    """
-    u, v = _norm_edge(*e)
-    if (u, v) not in g.edges:
-        raise NotPresentError(f"edge {e} not in graph")
-    rest = [x for x in range(g.n) if x not in (u, v)]
-    index = {x: i for i, x in enumerate(rest)}
-    heir = len(rest)
-    edges = set()
-    for a, b in g.edges:
-        na = index.get(a, heir)
-        nb = index.get(b, heir)
-        if na != nb:
-            edges.add(_norm_edge(na, nb))
-    return Graph(g.n - 1, edges)

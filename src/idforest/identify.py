@@ -3,7 +3,8 @@
 Identifying a vertex set X in a graph G deletes X and adds one fresh "heir"
 vertex adjacent to every former neighbor of X outside X.  A partition of
 disjoint blocks is identified blockwise; the result does not depend on block
-order, so it is computed as a single quotient.
+order, so it is computed as a single quotient.  Contracting an edge is
+identifying its two ends.
 
 Labels in the identified graph: the untouched vertices come first in their
 original order (0..t-1), then one heir per block, blocks ordered by their
@@ -12,12 +13,10 @@ minimum original vertex.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidBlockError
-from .graph import Graph, _bits, is_forest
+from .errors import InvalidBlockError, NotPresentError
+from .graph import Edge, Graph, _bits, is_forest
 
 
 class VertexPartition:
@@ -78,47 +77,9 @@ def normalize_partition(p: VertexPartition | Iterable[Iterable[int]]) -> VertexP
     return VertexPartition([b for b in blocks if len(b) >= 2])
 
 
-@dataclass(frozen=True)
-class HeirMap:
-    """Where every original vertex went: untouched vertices map through
-    `untouched`, block i (in the partition's block order) maps to heir label
-    `heirs[i]`.  Together the images cover the identified graph exactly."""
-
-    untouched: Mapping[int, int]
-    heirs: tuple[int, ...]
-
-    def image(self, p: VertexPartition, v: int) -> int:
-        for i, block in enumerate(p.blocks):
-            if v in block:
-                return self.heirs[i]
-        return self.untouched[v]
-
-
-class _Ranks(Mapping):
-    """The vertices of a mask, each mapped to its rank among them."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int):
-        self.mask = mask
-
-    def __getitem__(self, v: int) -> int:
-        if not (isinstance(v, int) and v >= 0 and self.mask >> v & 1):
-            raise KeyError(v)
-        return (self.mask & ((1 << v) - 1)).bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        return _bits(self.mask)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
-def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, HeirMap]:
-    """Identify every block of p in g, simultaneously."""
+def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, tuple[int, ...]]:
+    """Identify every block of p in g, simultaneously.  Returns the quotient
+    and each original vertex's image: `image[v]` is v's quotient vertex."""
     image = [0] * g.n
     support = 0
     for block in p._sorted:
@@ -130,16 +91,15 @@ def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, HeirMap]:
     for i, v in enumerate(_bits(untouched)):
         image[v] = i
     t = untouched.bit_count()
-    heirs = tuple(range(t, t + len(p._sorted)))
-    for heir, block in zip(heirs, p._sorted):
+    for heir, block in enumerate(p._sorted, t):
         for v in block:
             image[v] = heir
-    rows = [0] * (t + len(heirs))
+    rows = [0] * (t + len(p._sorted))
     for u, row in enumerate(g.adj_masks):
         for v in _bits(row):
             if image[u] != image[v]:
                 rows[image[u]] |= 1 << image[v]
-    return Graph._from_rows(rows), HeirMap(untouched=_Ranks(untouched), heirs=heirs)
+    return Graph._from_rows(rows), tuple(image)
 
 
 def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:
@@ -147,8 +107,18 @@ def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:
     block = frozenset(x)
     if not block:
         raise InvalidBlockError("cannot identify an empty set")
-    h, hm = identify_partition(g, VertexPartition([block]))
-    return h, hm.heirs[0]
+    h, image = identify_partition(g, VertexPartition([block]))
+    return h, image[min(block)]
+
+
+def contract_edge(g: Graph, e: Edge) -> Graph:
+    """Contract edge e: the identification of the 2-block {u, v}, so the
+    untouched vertices keep their relative order at 0..n-3 and the heir is
+    n-2."""
+    u, v = e
+    if not (0 <= u < g.n and 0 <= v < g.n and g.adj_masks[u] >> v & 1):
+        raise NotPresentError(f"edge {e} not in graph")
+    return identify_partition(g, VertexPartition([e]))[0]
 
 
 def is_id_forest_partition(g: Graph, p: VertexPartition) -> bool:
@@ -174,7 +144,11 @@ def text_to_partition(text: str) -> VertexPartition:
         if any(not s for s in items):
             raise ValueError(f"malformed partition block {part!r}")
         try:
-            blocks.append([int(s) for s in items])
+            block = [int(s) for s in items]
         except ValueError:
             raise ValueError(f"non-integer vertex in block {part!r}") from None
+        repeated = [v for i, v in enumerate(block) if v in block[:i]]
+        if repeated:
+            raise ValueError(f"vertex {repeated[0]} repeated in block {part!r}")
+        blocks.append(block)
     return VertexPartition(blocks)

@@ -51,9 +51,10 @@ from itertools import combinations
 from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
 from .graph import (Graph, _bits, _core, _relabel, bridges, connected_components,
-                    contract_edge, delete_edge, delete_vertex, disjoint_union,
-                    induced_subgraph, is_2_connected)
+                    delete_edge, delete_vertex, disjoint_union, induced_subgraph,
+                    is_2_connected)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
+from .identify import contract_edge
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
 from .solver import idf_decision, idf_exact

@@ -16,16 +16,15 @@ from typing import Iterable
 
 from .graph import Graph, connected_components, bridges, remove_bridges, with_new_vertex
 from .graphio import graph6_str
-from .identify import HeirMap, VertexPartition, identify_partition
+from .identify import VertexPartition, identify_partition
 from .vc import KernelInstance, nt_kernel, vc_decision, vc_exact
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdfCertificate:
     value: int
     partition: VertexPartition
     forest: Graph
-    heirs: HeirMap
 
     def as_json_dict(self) -> dict:
         return {
@@ -63,8 +62,8 @@ def idf_exact(g: Graph) -> IdfCertificate:
     core = remove_bridges(g)
     sol = vc_exact(core)
     partition = _split_cover(core, sol.cover)
-    forest, heirs = identify_partition(g, partition)
-    return IdfCertificate(value=sol.value, partition=partition, forest=forest, heirs=heirs)
+    forest, _ = identify_partition(g, partition)
+    return IdfCertificate(value=sol.value, partition=partition, forest=forest)
 
 
 def idf_decision(g: Graph, k: int) -> bool:

@@ -196,14 +196,18 @@ def _vc_component(adj: tuple[int, ...], comp: int, best_cap: int) -> int | None:
     maxdeg = v = 0
     taken = 0  # matched vertices
     mate: dict[int, int] = {}
-    for u in _bits(comp):
+    todo = comp
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        u = low.bit_length() - 1
         nbrs = adj[u] & comp
         deg = nbrs.bit_count()
         if deg > maxdeg:
             maxdeg, v = deg, u
-        if not taken >> u & 1 and (free := nbrs & ~taken):
+        if not taken & low and (free := nbrs & ~taken):
             w = (free & -free).bit_length() - 1
-            taken |= (1 << u) | (1 << w)
+            taken |= low | (1 << w)
             mate[u] = w
             mate[w] = u
     if maxdeg == 0:

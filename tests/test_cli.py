@@ -87,6 +87,12 @@ class TestCheck:
         assert status == 1
         assert payload["reason"] == "vertex out of range"
 
+    def test_vertex_repeated_in_a_block_is_an_error(self, capsys):
+        status = main(["check", "Bw", "--partition", "0,0", "--order", "1", "--json"])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert "vertex 0 repeated in block '0,0'" in captured.err
+
 
 class TestKernel:
     def test_settled_no_instance(self, capsys):

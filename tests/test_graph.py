@@ -287,8 +287,9 @@ class TestMinorOperations:
         assert is_isomorphic(g, complete_graph(3))
 
     def test_contract_missing_edge_raises(self):
-        with pytest.raises(NotPresentError):
-            contract_edge(Graph(3, [(0, 1)]), (1, 2))
+        for e in [(1, 2), (1, 1), (0, 5), (-1, 0)]:
+            with pytest.raises(NotPresentError):
+                contract_edge(Graph(3, [(0, 1), (0, 2)]), e)
 
     def test_operations_shrink_or_preserve(self):
         rng = random.Random(23)

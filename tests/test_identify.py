@@ -8,7 +8,7 @@ import random
 import pytest
 from conftest import graphs_up_to, random_graph
 
-from idforest import (Graph, HeirMap, InvalidBlockError, VertexPartition,
+from idforest import (Graph, InvalidBlockError, VertexPartition,
                       complete_graph, contract_edge, cycle_graph,
                       disjoint_union, identify_partition, identify_set,
                       is_id_forest_partition, is_isomorphic,
@@ -26,6 +26,21 @@ def random_partition(rng: random.Random, n: int, max_blocks: int = 3) -> VertexP
         size = rng.randint(2, min(3, len(verts)))
         blocks.append([verts.pop() for _ in range(size)])
     return VertexPartition(blocks)
+
+
+def edge_set_contraction(g: Graph, e: tuple[int, int]) -> Graph:
+    """Reference contraction on the edge set: the untouched vertices keep
+    their relative order, the merged vertex is last, parallel edges merge
+    and the loop drops."""
+    rest = [x for x in range(g.n) if x not in e]
+    index = {x: i for i, x in enumerate(rest)}
+    heir = len(rest)
+    edges = set()
+    for a, b in g.edges:
+        na, nb = index.get(a, heir), index.get(b, heir)
+        if na != nb:
+            edges.add((min(na, nb), max(na, nb)))
+    return Graph(g.n - 1, edges)
 
 
 class TestVertexPartition:
@@ -60,10 +75,9 @@ class TestVertexPartition:
 
 class TestIdentifyPartition:
     def test_single_block_of_triangle_gives_one_edge(self):
-        h, heirs = identify_partition(complete_graph(3), VertexPartition([[1, 2]]))
+        h, image = identify_partition(complete_graph(3), VertexPartition([[1, 2]]))
         assert h == Graph(2, [(0, 1)])
-        assert heirs.heirs == (1,)
-        assert heirs.image(VertexPartition([[1, 2]]), 0) == 0
+        assert image == (0, 1, 1)
 
     def test_quotient_order_formula(self):
         rng = random.Random(61)
@@ -76,27 +90,23 @@ class TestIdentifyPartition:
     def test_heirs_come_after_untouched_vertices(self):
         g = cycle_graph(5)
         p = VertexPartition([[0, 2], [1, 4]])
-        h, hm = identify_partition(g, p)
-        assert dict(hm.untouched) == {3: 0}
-        assert hm.heirs == (1, 2)
+        h, image = identify_partition(g, p)
+        assert image == (1, 2, 1, 0, 2)
         assert h.n == 3
 
     def test_untouched_vertices_map_to_their_rank(self):
         p = VertexPartition([[1, 5], [2, 7]])
-        _, hm = identify_partition(path_graph(8), p)
-        assert hm.untouched == {0: 0, 3: 1, 4: 2, 6: 3}
-        assert list(hm.untouched) == [0, 3, 4, 6] and len(hm.untouched) == 4
-        assert 5 not in hm.untouched and hm.untouched.get(8) is None
-        with pytest.raises(KeyError):
-            hm.untouched[7]
-        assert hm == HeirMap({0: 0, 3: 1, 4: 2, 6: 3}, (4, 5))
-        assert [hm.image(p, v) for v in range(8)] == [0, 4, 5, 1, 2, 4, 3, 5]
+        _, image = identify_partition(path_graph(8), p)
+        assert [image[v] for v in (0, 3, 4, 6)] == [0, 1, 2, 3]
+        assert image == (0, 4, 5, 1, 2, 4, 3, 5)
 
     def test_adjacent_two_block_matches_edge_contraction(self):
         for g in graphs_up_to(5):
-            for e in sorted(g.edges):
-                h, _ = identify_partition(g, VertexPartition([e]))
-                assert h == contract_edge(g, e)
+            for u, v in sorted(g.edges):
+                expected = edge_set_contraction(g, (u, v))
+                assert identify_partition(g, VertexPartition([(u, v)]))[0] == expected
+                assert contract_edge(g, (u, v)) == expected
+                assert contract_edge(g, (v, u)) == expected
 
     def test_identification_never_depends_on_block_listing_order(self):
         rng = random.Random(67)
@@ -129,9 +139,9 @@ class TestIdentifyPartition:
 
     def test_empty_partition_is_identity(self):
         g = cycle_graph(4)
-        h, hm = identify_partition(g, VertexPartition())
+        h, image = identify_partition(g, VertexPartition())
         assert h == g
-        assert hm.heirs == ()
+        assert image == (0, 1, 2, 3)
 
 
 class TestIdentifySet:
@@ -176,7 +186,7 @@ class TestTextFormat:
         assert text_to_partition("") == VertexPartition()
         assert text_to_partition(" 4 , 1 ") == VertexPartition([[1, 4]])
 
-    @pytest.mark.parametrize("text", ["0,;1", ";", "a,b", "0,,1"])
+    @pytest.mark.parametrize("text", ["0,;1", ";", "a,b", "0,,1", "0,3;1,2,1"])
     def test_malformed_text_rejected(self, text):
         with pytest.raises(ValueError):
             text_to_partition(text)
