@@ -65,12 +65,13 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]):
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     cert = idf_exact(g)
+    payload = cert.as_json_dict()
     blocks = [",".join(map(str, sorted(b))) for b in cert.partition]
     lines = [f"idf = {cert.value}",
              "blocks: " + ("; ".join(blocks) if blocks else "(none)"),
-             f"forest: {graph6_str(cert.forest)}",
+             f"forest: {payload['forest_graph6']}",
              "note: the value is the vertex cover number of the bridgeless core"]
-    _emit(args, cert.as_json_dict(), lines)
+    _emit(args, payload, lines)
     return 0
 
 

@@ -41,7 +41,6 @@ computed ground truth.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -188,6 +187,7 @@ def _pmap(fn: Callable, items: list, workers: int) -> Iterator:
     if workers <= 1 or len(items) < 2 * _CHUNK:
         yield from map(fn, items)
         return
+    import multiprocessing  # here, so that serial runs never pay for the import
     with multiprocessing.Pool(workers) as pool:
         yield from pool.imap(fn, items, chunksize=_CHUNK)
 
@@ -238,6 +238,8 @@ def _grow(classify: Classifier, max_n: int, *, min_degree: int = 0, workers: int
     max_n when its found file exists: the non-members of a level do not
     depend on max_n.  The last level of an earlier, shorter scan has no
     member file, so a scan that goes further grows that level again."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     members = [graph6_str(Graph(0))]
     found: list[str] = []
     for n in range(1, max_n + 1):

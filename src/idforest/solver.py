@@ -22,9 +22,16 @@ from .vc import KernelInstance, nt_kernel, vc_decision, vc_exact
 
 @dataclass(frozen=True, slots=True)
 class IdfCertificate:
+    """An optimal partition of `graph`, the solver's input, which is held by
+    reference.  `forest`, the quotient, is identified again on each access."""
+
     value: int
     partition: VertexPartition
-    forest: Graph
+    graph: Graph
+
+    @property
+    def forest(self) -> Graph:
+        return identify_partition(self.graph, self.partition)[0]
 
     def as_json_dict(self) -> dict:
         return {
@@ -61,9 +68,7 @@ def idf_exact(g: Graph) -> IdfCertificate:
     """Minimum identification order with a witness partition."""
     core = remove_bridges(g)
     sol = vc_exact(core)
-    partition = _split_cover(core, sol.cover)
-    forest, _ = identify_partition(g, partition)
-    return IdfCertificate(value=sol.value, partition=partition, forest=forest)
+    return IdfCertificate(value=sol.value, partition=_split_cover(core, sol.cover), graph=g)
 
 
 def idf_decision(g: Graph, k: int) -> bool:

@@ -90,12 +90,22 @@ def _double_cover_min_cover(g: Graph) -> tuple[int, int]:
     Returns (left_cover, right_cover) as vertex masks: a maximum matching,
     then the left vertices not reachable by alternating paths from the
     unmatched ones, and the right copies that are.  Those reachable sets are
-    the same for every maximum matching.
+    the same for every maximum matching, so the matching is seeded
+    greedily (each left vertex in turn takes its lowest free right copy)
+    and augmented only from the left vertices the seeding leaves unmatched.
     """
     adj = g.adj_masks
     alive = (1 << g.n) - 1
     mate: dict[int, int] = {}
-    free = sum(1 << u for u in range(g.n) if not _augment(adj, alive, mate, u))
+    taken = unseeded = 0  # matched right copies; left vertices left unmatched
+    for u in range(g.n):
+        if cand := adj[u] & ~taken:
+            low = cand & -cand
+            taken |= low
+            mate[low.bit_length() - 1] = u
+        else:
+            unseeded |= 1 << u
+    free = sum(1 << u for u in _bits(unseeded) if not _augment(adj, alive, mate, u))
     left_z = frontier = free
     right_z = 0
     while frontier:

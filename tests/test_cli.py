@@ -288,6 +288,14 @@ class TestErrorHandling:
         with pytest.raises(SystemExit):
             main(["frobnicate", "Bw"])
 
+    @pytest.mark.parametrize("command,workers", [("obstructions", "-3"), ("verify4", "0")])
+    def test_worker_counts_below_one_exit_2(self, capsys, tmp_path, monkeypatch,
+                                            command, workers):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--k", "1", "--workers", workers]) == 2
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestEntryPoints:
     def test_module_invocation_reads_stdin(self):

@@ -131,6 +131,21 @@ class TestEnumeration:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == serial
 
+    def test_worker_counts_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
+            enumerate_graphs(4, workers=0)
+        with pytest.raises(ValueError, match="workers must be at least 1, got -2"):
+            obs_vc(1, workers=-2)
+
+    def test_serial_runs_never_import_the_pool(self):
+        src = pathlib.Path(obstructions.__file__).parents[1]
+        script = ("import sys, idforest, idforest.cli\n"
+                  "print('multiprocessing' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
+
     def test_size_guard(self):
         # the guards raise at the call, before anything is iterated
         with pytest.raises(SizeLimitError):

@@ -4,9 +4,11 @@ the 2k+1 kernel pipeline."""
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -45,9 +47,20 @@ class TestExactValue:
             cert = idf_exact(g)
             forest, _ = identify_partition(g, cert.partition)
             assert is_forest(forest)
+            assert cert.graph is g
             assert forest == cert.forest
             assert cert.partition.order == cert.value
             assert is_id_forest_partition(g, cert.partition)
+
+    def test_certificate_pickles_and_replaces(self):
+        g = gen_marguerite(2)
+        cert = idf_exact(g)
+        copy = pickle.loads(pickle.dumps(cert))
+        assert copy == cert and copy.as_json() == cert.as_json()
+        partition = VertexPartition(cert.partition.blocks[1:])
+        changed = dataclasses.replace(cert, partition=partition)
+        assert changed.graph is g and changed.partition == partition
+        assert changed.forest == identify_partition(g, partition)[0]
 
     def test_value_is_cover_number_of_core(self):
         rng = random.Random(101)

@@ -81,6 +81,54 @@ class TestHalfIntegralRelaxation:
             assert vc / 2 <= value <= vc
 
 
+def unseeded_min_cover(g: Graph) -> tuple[int, int]:
+    """`vc._double_cover_min_cover` without the greedy seeding: augment from
+    every left vertex, starting from the empty matching."""
+    adj = g.adj_masks
+    alive = (1 << g.n) - 1
+    mate: dict[int, int] = {}
+    free = sum(1 << u for u in range(g.n) if not vc._augment(adj, alive, mate, u))
+    left_z = frontier = free
+    right_z = 0
+    while frontier:
+        reach = 0
+        for u in range(g.n):
+            if frontier >> u & 1:
+                reach |= adj[u]
+        reach &= ~right_z
+        right_z |= reach
+        frontier = 0
+        for w in range(g.n):
+            if reach >> w & 1:
+                frontier |= 1 << mate[w]
+        frontier &= ~left_z
+        left_z |= frontier
+    return alive & ~left_z, right_z
+
+
+class TestSeededMatchingTwin:
+    # The alternating-reach sets, and so the cover masks, are the same for
+    # every maximum matching; a greedy seed must not change them.
+    def test_small_random_graphs(self):
+        rng = random.Random(1975)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.7))
+            assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+
+    def test_sparse_graphs(self):
+        rng = random.Random(1973)
+        for n in range(65, 301, 47):
+            for _ in range(3):
+                g = random_graph(rng, n, rng.uniform(1, 4) / n)
+                assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+
+    def test_diamond_chain(self):
+        # hubs 3i, tips 3i+1 and 3i+2 joined to hubs 3i and 3i+3
+        g = Graph(601, [(3 * i + h, 3 * i + t)
+                        for i in range(200) for t in (1, 2) for h in (0, 3)])
+        assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+
+
 class TestCoverKernel:
     def test_star_reduces_to_nothing(self):
         ki = nt_kernel(star(4), 1)
