@@ -38,10 +38,13 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   or `vc` are counted too.  These counters wrap the functions in the timed
   pass itself: one extra Python call per counted call, about 0.4 us against
   about 140 us a canonical search at level 8.
-- `kernel`: `idf_kernel(G, n // 10)` at scale, on G with 2n distinct
-  random edges (seed 0) for each n in KERNEL_SIZES, and on DIAMONDS
-  diamonds in a row.  Each graph goes to a fresh interpreter, which times
-  one `idf_kernel` call and reports its own peak RSS and the kernel's size,
+- `kernel`: `idf_kernel(G, k)` at scale, on G with 2n distinct random
+  edges (seed 0) for each n in KERNEL_SIZES, and on DIAMONDS diamonds in a
+  row.  k is the half-integral LP value of G's bridgeless core, rounded
+  up, computed untimed: the cover kernel then keeps every half-valued
+  vertex that has a half-valued neighbour instead of deciding the instance
+  negative.  Each graph goes to a fresh interpreter, which times one
+  `idf_kernel` call and reports its own peak RSS and the kernel's size,
   budget, forced vertices and verdict.
 
 Counters come from each side's first run.  For each row the file reports
@@ -286,10 +289,12 @@ def _kernel_graphs() -> list[tuple[str, int, list[tuple[int, int]]]]:
 
 def measure_kernel() -> dict:
     import idforest
+    from idforest import Graph, lp_half_integral, remove_bridges
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(idforest.__file__)))
     rows = []
     for name, n, edges in _kernel_graphs():
-        k = n // 10
+        _, half, v1 = lp_half_integral(remove_bridges(Graph(n, edges)))
+        k = len(v1) + (len(half) + 1) // 2
         out = subprocess.run([sys.executable, "-c", _KERNEL_CHILD], env=env, check=True,
                              input=json.dumps([n, edges, k]), capture_output=True,
                              text=True).stdout
@@ -322,9 +327,10 @@ LAYERS = {
                   "the same interpreter, with its _search, _classify and nt_kernel "
                   "calls"),
     "kernel": Layer(measure_kernel, "s", ("graph", "n", "m", "k"),
-                    "idf_kernel(G, n // 10), one call in a fresh interpreter a run, on "
-                    "G with 2n random edges and on a chain of diamonds; peak RSS is "
-                    "that interpreter's, from each side's first run"),
+                    "idf_kernel(G, k), k the LP value of G's bridgeless core rounded "
+                    "up, one call in a fresh interpreter a run, on G with 2n random "
+                    "edges and on a chain of diamonds; peak RSS is that interpreter's, "
+                    "from each side's first run"),
 }
 
 

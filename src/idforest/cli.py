@@ -18,10 +18,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .graph import Graph
+from .graph import Graph, is_forest
 from .graphio import edge_list_to_graph, graph6_str, graph6_to_graph
-from .identify import (identify_partition, is_id_forest_partition,
-                       text_to_partition)
+from .identify import identify_partition, text_to_partition
 from .minors import dichotomy, gen_antichain_h, gen_cycle, gen_marguerite, gen_triangles
 from .obstructions import (ObstructionReport, obs_idf, obs_vc, verify_section4,
                            write_catalog)
@@ -82,14 +81,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
         _emit(args, {"valid": False, "reason": "vertex out of range"},
               ["invalid: vertex out of range"])
         return 1
-    forest_ok = is_id_forest_partition(g, partition)
+    quotient, _ = identify_partition(g, partition)
+    forest_ok = is_forest(quotient)
     order_ok = partition.order == args.order
     valid = forest_ok and order_ok
     reason = ("" if valid
               else "identification does not give a forest" if not forest_ok
               else f"order is {partition.order}, not {args.order}")
     payload = {"valid": valid, "order": partition.order,
-               "forest_graph6": graph6_str(identify_partition(g, partition)[0])}
+               "forest_graph6": graph6_str(quotient)}
     if reason:
         payload["reason"] = reason
     _emit(args, payload, [f"valid: order-{args.order} identification to a forest"

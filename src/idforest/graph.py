@@ -135,7 +135,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self._matrix == other._matrix
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._matrix))
 
     def __repr__(self) -> str:
         es = sorted(self.edges)

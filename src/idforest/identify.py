@@ -65,7 +65,7 @@ class VertexPartition:
         return isinstance(other, VertexPartition) and self._sorted == other._sorted
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash(self._sorted)
 
     def __repr__(self) -> str:
         return f"VertexPartition({[list(b) for b in self._sorted]})"

@@ -56,8 +56,8 @@ from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .identify import contract_edge
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
-from .solver import idf_decision, idf_exact
-from .vc import _vc_split, vc_decision, vc_exact
+from .solver import idf_exact
+from .vc import _vc_split, vc_exact
 
 ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
@@ -339,11 +339,6 @@ class ObstructionReport:
         }
 
 
-def _predicate_for(kind: str, k: int) -> Predicate:
-    # a partial of a module function, so that it pickles to pool workers
-    return partial(vc_decision if kind == "vc" else idf_decision, k=k)
-
-
 # At its last level a scan keeps only minor-minimal non-members, and each
 # vertex of one has at least this many neighbours: a non-member with an
 # isolated vertex is not minimal, nor is an idf non-member with a pendant
@@ -378,32 +373,47 @@ def _edge_minor_rows(rows: list[int]) -> Iterator[list[int]]:
             yield contracted
 
 
+def _minimal(rows: list[int], kind: str, k: int) -> bool:
+    """`is_minor_minimal` with the kind's decision, on rows: no vertex is
+    isolated, every edge minor is a member and the graph is not.  Each G - v
+    is then a subgraph of some G - e, and an isolated vertex changes neither
+    value.  The graph's own test comes last, so a scan child, which has just
+    failed it, repeats it only when minimal."""
+    return (all(rows) and all(_member(minor, kind, k) for minor in _edge_minor_rows(rows))
+            and not _member(rows, kind, k))
+
+
+def _spanning_rows(g: Graph, m: int) -> Iterator[list[int]]:
+    """The rows of each spanning subgraph of g with m edges."""
+    for keep in combinations(sorted(g.edges), m):
+        rows = [0] * g.n
+        for u, v in keep:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        yield rows
+
+
 def _classify(rows: list[int], last: bool, outside: list[int], kind: str,
               k: int) -> bool | None:
     """True for a member, False for a minor-minimal non-member, None for any
     other child, which at a scan's last level includes every member.  A
     child that fails the membership test has its neighbour set, `rows[-1]`,
-    appended to `outside` (see `_augmented_children`).  A non-member with an
-    isolated vertex is not minimal, since deleting that vertex changes
-    neither value.  Nor is an idf non-member with a bridge, since bridge
-    removal preserves the identification number.  At the last level these
-    tests come before the membership test, so a child they drop there is
-    never appended; below it a member must be kept whatever its degrees and
-    bridges.  An isolated vertex changes neither value, so every minor is
-    decided on n rows."""
+    appended to `outside` (see `_augmented_children`).  A child with an
+    isolated vertex is not minimal (`_minimal`), nor is an idf child with a
+    bridge, since bridge removal preserves the identification number.  At
+    the last level these tests come before the membership test, so a child
+    they drop there is never appended; below it a member must be kept
+    whatever its degrees and bridges.  The core is computed once: an idf
+    child is a member exactly when its core is a vc member."""
     if last and not all(rows):
         return None
-    core = rows
-    if kind == "idf":
-        core = _core(rows)
-        if last and core != rows:
-            return None
-    if _vc_split(core, (1 << len(rows)) - 1, k) is not None:
+    core = _core(rows) if kind == "idf" else rows
+    if last and core != rows:
+        return None
+    if _member(core, "vc", k):
         return None if last else True
     outside.append(rows[-1])
-    if core != rows or not all(rows):
-        return None
-    return False if all(_member(minor, kind, k) for minor in _edge_minor_rows(rows)) else None
+    return False if core == rows and _minimal(rows, kind, k) else None
 
 
 def _scan(kind: str, k: int, max_n: int, *, workers: int,
@@ -438,20 +448,11 @@ def obs_vc(k: int, *, long_run: bool = False, workers: int = 1,
 def _spanning_vc_minimal(g: Graph, target: int) -> str:
     """Provenance of an obstruction g with value target+1: does deleting some
     edge set (possibly empty) leave a minor-minimal graph for cover budget
-    target on the same vertices?  Isomorphic edge-deleted subgraphs are
-    tested once."""
-    predicate = _predicate_for("vc", target)
-    seen: set[bytes] = set()
-    edges = sorted(g.edges)
-    for size in range(len(edges) + 1):
-        for drop in combinations(edges, size):
-            sub = Graph(g.n, set(edges) - set(drop))
-            code = canonical_form(sub)
-            if code in seen:
-                continue
-            seen.add(code)
-            if is_minor_minimal(sub, predicate):
-                return PROV_VC_OBSTRUCTION if size == 0 else PROV_EDGE_AUGMENTED
+    target on the same vertices?  The answer depends only on the fewest
+    edges deleted, so each size stops at its first minimal subgraph."""
+    for size in range(g.m + 1):
+        if any(_minimal(rows, "vc", target) for rows in _spanning_rows(g, g.m - size)):
+            return PROV_VC_OBSTRUCTION if size == 0 else PROV_EDGE_AUGMENTED
     return PROV_OTHER
 
 
@@ -482,13 +483,9 @@ def _has_spanning_copy(g: Graph, h: Graph) -> bool:
         return False
     target = canonical_form(disjoint_union(h, Graph(g.n - h.n)))
     degs = sorted([h.degree(v) for v in range(h.n)] + [0] * (g.n - h.n))
-    for keep in combinations(sorted(g.edges), h.m):
-        kept = Graph(g.n, keep)
-        if sorted(kept.degree(v) for v in range(g.n)) != degs:
-            continue
-        if canonical_form(kept) == target:
-            return True
-    return False
+    return any(sorted(row.bit_count() for row in rows) == degs
+               and canonical_form(Graph._from_rows(rows)) == target
+               for rows in _spanning_rows(g, h.m))
 
 
 def verify_section4(vc_report: ObstructionReport,
@@ -596,14 +593,13 @@ def family_obstruction_report(k: int) -> tuple[FamilyClaim, ...]:
     is appended for information."""
     if k < 0 or k > 2:
         raise ValueError(f"supported parameters are 0..2, got {k}")
-    predicate = _predicate_for("idf", k)
     rows: list[FamilyClaim] = []
 
     def claim(family: str, description: str, g: Graph | None,
               claimed: bool | None, note: str = "") -> FamilyClaim:
         if g is None:
             return FamilyClaim(family, description, None, claimed, None, None, note)
-        computed = is_minor_minimal(g, predicate)
+        computed = _minimal(list(g.adj_masks), "idf", k)
         agrees = None if claimed is None else computed == claimed
         return FamilyClaim(family, description, g, claimed, computed, agrees, note)
 

@@ -72,10 +72,14 @@ def test_kernel_worker_times_and_sizes_each_graph(monkeypatch):
     monkeypatch.setattr(bench, "DIAMONDS", 20)
     run = bench.measure_kernel()
     assert list(run) == ["graphs"]
+    # k is the core's LP value rounded up, so no instance is decided
+    # negative and the random graph keeps its half-valued part
     assert [(g["graph"], g["n"], g["m"], g["k"]) for g in run["graphs"]] == \
-        [("sparse", 200, 400, 20), ("diamonds", 61, 80, 6)]
+        [("sparse", 200, 400, 88), ("diamonds", 61, 80, 21)]
+    assert [g["kernel_n"] for g in run["graphs"]] == [176, 0]
     for g in run["graphs"]:
         assert set(g) == {"graph", "n", "m", "k", "kernel_n", "budget", "forced",
                           "decided_no", "peak_rss_mb", "s"}
+        assert not g["decided_no"]
         assert g["kernel_n"] <= 2 * g["k"] + 1 and g["budget"] <= g["k"] + 1
         assert g["peak_rss_mb"] > 0 and g["s"] > 0

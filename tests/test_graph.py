@@ -63,6 +63,9 @@ class TestConstruction:
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
+        # hashing reads the packed matrix and builds no lazy view
+        assert a._edges is None and a._adj is None
+        assert hash(Graph._from_rows([0b10, 0b01, 0])) == hash(a)
 
 
 class TestPackedMatrix:

@@ -59,6 +59,8 @@ class TestVertexPartition:
         a = VertexPartition([[0, 1], [2, 3]])
         b = VertexPartition([[3, 2], [1, 0]])
         assert a == b and hash(a) == hash(b)
+        # hashing reads the sorted blocks and builds no frozensets
+        assert a._blocks is None and b._blocks is None
 
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidBlockError):

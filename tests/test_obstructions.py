@@ -11,7 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from conftest import unlabeled_graph_count
@@ -40,6 +40,11 @@ CHECK_NAMES = {
 }
 
 
+def decision(kind: str, k: int):
+    """The public membership decision of a scan's class."""
+    return partial(vc_decision if kind == "vc" else idf_decision, k=k)
+
+
 def forms(graphs) -> set[bytes]:
     return {canonical_form(g) for g in graphs}
 
@@ -64,6 +69,18 @@ def full_scan(predicate, max_n: int) -> list[str]:
     found = [g for n in range(max_n + 1) for g in enumerate_graphs(n)
              if is_minor_minimal(g, predicate)]
     return [graph6_str(g) for g in sorted(found, key=canonical_form)]
+
+
+def reference_provenance(g: Graph, target: int) -> str:
+    """`_spanning_vc_minimal` with the public minimality test on every edge
+    subset, the fewest edges deleted first."""
+    edges = sorted(g.edges)
+    for size in range(len(edges) + 1):
+        if any(is_minor_minimal(Graph(g.n, set(edges) - set(drop)), decision("vc", target))
+               for drop in combinations(edges, size)):
+            return (obstructions.PROV_VC_OBSTRUCTION if size == 0
+                    else obstructions.PROV_EDGE_AUGMENTED)
+    return obstructions.PROV_OTHER
 
 
 def level_sha256(lines: list[str]) -> str:
@@ -287,7 +304,7 @@ class TestPrunedScan:
             report, max_n = obs_vc(k), 2 * k + 2
         else:
             report, max_n = obs_idf(k), 2 * k + 4
-        predicate = obstructions._predicate_for(kind, k)
+        predicate = decision(kind, k)
         assert report.graph6_lines() == full_scan(predicate, max_n)
 
     @pytest.mark.parametrize("kind,k", [("vc", 0), ("vc", 1), ("vc", 2),
@@ -313,7 +330,7 @@ class TestPrunedScan:
                 for kind in ("vc", "idf"):
                     skip = isolated or (kind == "idf" and bridged)
                     for k in range(3):
-                        predicate = obstructions._predicate_for(kind, k)
+                        predicate = decision(kind, k)
                         outside, last_outside = [], []
                         verdict = obstructions._classify(rows, False, outside, kind, k)
                         last = obstructions._classify(rows, True, last_outside, kind, k)
@@ -343,7 +360,7 @@ class TestPrunedScan:
         # the reference decides every canonical child after its search, with
         # the full one-step minimality test; at the last level the scan keeps
         # the same obstructions and no members
-        predicate = obstructions._predicate_for(kind, k)
+        predicate = decision(kind, k)
         classify = partial(obstructions._classify, kind=kind, k=k)
         last = partial(obstructions._grow_worker, classify=classify, last=True,
                        min_degree=obstructions._LAST_MIN_DEGREE[kind])
@@ -367,7 +384,7 @@ class TestPrunedScan:
         # each member parent is augmented twice, at an inner and at the last
         # level: once as the scan does, and once with the decided-outside
         # sets thrown away, so that no set is skipped for containing one
-        predicate = obstructions._predicate_for(kind, k)
+        predicate = decision(kind, k)
         classify = partial(obstructions._classify, kind=kind, k=k)
         verdicts: dict[tuple[str, int], bool] = {}
         skipped = 0
@@ -432,26 +449,39 @@ class TestPrunedScan:
         assert seen == [0b001, 0b110]
 
     def test_edge_minors_decide_minimality(self):
-        # the scans test a failing child with no isolated vertex on its edge
-        # minors only, as row edits that keep the vertex count; every G - v
-        # is then a subgraph of some G - e
+        # the scans, the provenance and the family report test minimality on
+        # rows, on a graph's edge minors only; every G - v is then a
+        # subgraph of some G - e, and a graph with an isolated vertex, which
+        # the provenance feeds in, is never minimal
         tested = minimal = 0
-        for n in range(1, 8):
+        for n in range(8):
             for g in enumerate_graphs(n):
-                if not all(g.adj_masks):
-                    continue
-                for kind, budgets in (("vc", range(3)), ("idf", range(2))):
-                    for k in budgets:
-                        predicate = obstructions._predicate_for(kind, k)
-                        if predicate(g):
-                            continue
-                        edge_test = all(obstructions._member(rows, kind, k)
-                                        for rows in obstructions._edge_minor_rows(g.adj_masks))
-                        assert edge_test == is_minor_minimal(g, predicate), \
+                for kind in ("vc", "idf"):
+                    for k in range(3):
+                        row_test = obstructions._minimal(list(g.adj_masks), kind, k)
+                        assert row_test == is_minor_minimal(g, decision(kind, k)), \
                             (kind, k, graph6_str(g))
                         tested += 1
-                        minimal += edge_test
-        assert (tested, minimal) == (5080, 9)
+                        minimal += row_test
+        assert (tested, minimal) == (7518, 13)
+
+    def test_provenance_twins_the_public_test(self):
+        graphs = [g for k in range(3) for g in obs_idf(k).obstructions]
+        graphs += [graph6_to_graph(line) for line in (DATA / "obs-idf-k3.g6").read_text().split()]
+        seen = set()
+        for g in graphs:
+            target = idf_exact(g).value - 1
+            provenance = obstructions._spanning_vc_minimal(g, target)
+            assert provenance == reference_provenance(g, target), graph6_str(g)
+            seen.add(provenance)
+        assert seen == {obstructions.PROV_VC_OBSTRUCTION, obstructions.PROV_EDGE_AUGMENTED}
+        # P4 is 2K2 plus one edge; no catalog member reaches "other", but
+        # every spanning subgraph of K3+K1 keeps the isolated vertex
+        for g, provenance in ((path_graph(4), obstructions.PROV_EDGE_AUGMENTED),
+                              (disjoint_union(complete_graph(3), Graph(1)),
+                               obstructions.PROV_OTHER)):
+            assert obstructions._spanning_vc_minimal(g, 1) == provenance
+            assert reference_provenance(g, 1) == provenance
 
 
 class TestUnionIdentity:
@@ -488,7 +518,7 @@ class TestBudgetThreeCatalogs:
         assert len(lines) == count
         graphs = [graph6_to_graph(line) for line in lines]
         assert len(forms(graphs)) == count
-        predicate = obstructions._predicate_for(kind, 3)
+        predicate = decision(kind, 3)
         for g in graphs:
             assert is_minor_minimal(g, predicate), graph6_str(g)
             if kind == "vc":
