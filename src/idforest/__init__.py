@@ -14,17 +14,16 @@ from .canon import (CANON_MAX_VERTICES, canonical_form, canonical_graph,
                     canonical_labeling, is_isomorphic)
 from .errors import (Graph6ParseError, InvalidBlockError, NotPresentError,
                      SizeLimitError)
-from .graph import (Graph, bridges, complete_bipartite_graph, complete_graph,
-                    connected_components, cut_vertices, cycle_graph,
-                    delete_edge, delete_vertex, disjoint_union,
-                    induced_subgraph, is_2_connected, is_connected, is_forest,
-                    path_graph, remove_bridges, with_new_vertex)
+from .graph import (Graph, bridges, complete_graph, connected_components,
+                    cut_vertices, cycle_graph, delete_edge, delete_vertex,
+                    disjoint_union, induced_subgraph, is_2_connected,
+                    is_connected, is_forest, path_graph, remove_bridges,
+                    with_new_vertex)
 from .graphio import (GRAPH6_MAX_VERTICES, edge_list_str, edge_list_to_graph,
                       graph6_bytes, graph6_str, graph6_to_graph)
 from .identify import (VertexPartition, contract_edge, identify_partition,
-                       identify_set, is_id_forest_partition,
-                       normalize_partition, partition_to_text,
-                       text_to_partition)
+                       is_id_forest_partition, normalize_partition,
+                       partition_to_text, text_to_partition)
 from .minors import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX,
                      DichotomyOutcome, circumference, cycle_packing,
                      dichotomy, exact_fvs, gen_antichain_h, gen_cycle,
@@ -33,8 +32,7 @@ from .minors import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX,
 from .obstructions import (ENUMERATION_MAX_VERTICES, CheckResult,
                            FamilyClaim, ObstructionReport,
                            enumerate_graphs, family_obstruction_report,
-                           is_minor_minimal, obs_idf, obs_vc, one_step_minors,
-                           verify_section4, write_catalog)
+                           obs_idf, obs_vc, verify_section4, write_catalog)
 from .oracle import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_MINOR_MAX,
                      BRUTE_VC_MAX, EcfValue, MinorModel, brute_ecf,
                      brute_idf, brute_minor, brute_vc)
@@ -54,7 +52,7 @@ __all__ = [
     "VertexPartition", "IdfCertificate", "KernelInstance",
     "VcSolution", "EcfValue", "MinorModel", "DichotomyOutcome",
     "ObstructionReport", "CheckResult", "FamilyClaim",
-    "bridges", "complete_bipartite_graph", "complete_graph",
+    "bridges", "complete_graph",
     "connected_components", "contract_edge", "cut_vertices", "cycle_graph",
     "delete_edge", "delete_vertex", "disjoint_union", "induced_subgraph",
     "is_2_connected", "is_connected", "is_forest", "path_graph",
@@ -62,7 +60,7 @@ __all__ = [
     "canonical_form", "canonical_graph", "canonical_labeling", "is_isomorphic",
     "edge_list_str", "edge_list_to_graph", "graph6_bytes", "graph6_str",
     "graph6_to_graph",
-    "identify_partition", "identify_set", "is_id_forest_partition",
+    "identify_partition", "is_id_forest_partition",
     "normalize_partition", "partition_to_text", "text_to_partition",
     "lp_half_integral", "nt_kernel", "vc_decision",
     "vc_exact",
@@ -72,7 +70,7 @@ __all__ = [
     "gen_cycle", "gen_triangles", "gen_marguerite", "gen_antichain_h",
     "longest_cycle", "circumference", "cycle_packing", "max_cycle_packing",
     "marguerite_model", "max_marguerite", "exact_fvs", "dichotomy",
-    "enumerate_graphs", "one_step_minors", "is_minor_minimal", "obs_vc",
+    "enumerate_graphs", "obs_vc",
     "obs_idf", "verify_section4", "family_obstruction_report",
     "write_catalog",
 ]

@@ -145,6 +145,6 @@ def canonical_form(g: Graph) -> bytes:
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False
-    if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices)):
+    if sorted(map(int.bit_count, g.adj_masks)) != sorted(map(int.bit_count, h.adj_masks)):
         return False
     return canonical_form(g) == canonical_form(h)

@@ -53,12 +53,12 @@ class Graph:
     A graph holds only n and its adjacency matrix packed into one bytes
     object, a fixed number of bytes a row (`_row_size`), bit w of row v set
     iff vw is an edge: at most 512 bytes at 64 vertices, so a caller can
-    keep many graphs.  `adj_masks` unpacks the rows on every access, so
-    hoist it out of loops; the set views `edges` and `adj` are built on
-    first use and cached in their slots.
+    keep many graphs.  It caches nothing: `adj_masks` and `edges` are
+    built from the matrix on each access, while `neighbors`, `degree` and
+    `has_edge` read a single row.
     """
 
-    __slots__ = ("n", "_matrix", "_edges", "_adj")
+    __slots__ = ("n", "_matrix")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -73,7 +73,6 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self._matrix = _pack(rows)
-        self._edges = self._adj = None
 
     @classmethod
     def _from_rows(cls, rows: Sequence[int]) -> Graph:
@@ -82,7 +81,6 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(rows)
         g._matrix = _pack(rows)
-        g._edges = g._adj = None
         return g
 
     @property
@@ -106,26 +104,23 @@ class Graph:
 
     @property
     def edges(self) -> EdgeSet:
-        if self._edges is None:
-            self._edges = frozenset(_edge_list(self.adj_masks))
-        return self._edges
+        return frozenset(_edge_list(self.adj_masks))
 
-    @property
-    def adj(self) -> tuple[frozenset, ...]:
-        if self._adj is None:
-            self._adj = tuple(frozenset(_bits(row)) for row in self.adj_masks)
-        return self._adj
+    def _row(self, v: int) -> int:
+        """Row v of the matrix, which must be a vertex."""
+        size = _row_size(self.n)
+        return int.from_bytes(self._matrix[v * size:(v + 1) * size], sys.byteorder)
 
     def neighbors(self, v: int) -> frozenset:
         self._check_vertex(v)
-        return self.adj[v]
+        return frozenset(_bits(self._row(v)))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self.adj[v])
+        return self._row(v).bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        return 0 <= u < self.n and 0 <= v < self.n and self._row(u) >> v & 1 == 1
 
     def _check_vertex(self, v: int):
         if not (0 <= v < self.n):
@@ -138,7 +133,7 @@ class Graph:
         return hash((self.n, self._matrix))
 
     def __repr__(self) -> str:
-        es = sorted(self.edges)
+        es = _edge_list(self.adj_masks)
         shown = ", ".join(map(str, es[:8])) + (", ..." if len(es) > 8 else "")
         return f"Graph({self.n}, [{shown}])"
 
@@ -160,17 +155,12 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
 def disjoint_union(*graphs: Graph) -> Graph:
-    n = 0
-    edges = []
+    rows: list[int] = []
     for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return Graph(n, edges)
+        n = len(rows)
+        rows.extend(row << n for row in g.adj_masks)
+    return Graph._from_rows(rows)
 
 
 def with_new_vertex(g: Graph, neighbors: Iterable[int]) -> Graph:
@@ -379,8 +369,11 @@ def delete_vertex(g: Graph, v: int) -> Graph:
 
 
 def delete_edge(g: Graph, e: Edge) -> Graph:
-    ne = _norm_edge(*e)
-    if ne not in g.edges:
+    u, v = e
+    rows = list(g.adj_masks)
+    if not (0 <= u < g.n and 0 <= v < g.n and rows[u] >> v & 1):
         raise NotPresentError(f"edge {e} not in graph")
-    return Graph(g.n, g.edges - {ne})
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    return Graph._from_rows(rows)
 

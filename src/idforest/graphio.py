@@ -9,7 +9,7 @@ followed by n as 18 bits in three such six-bit bytes.  The eight-byte form
 for larger n is not supported.
 
 The edge-list format is line oriented: a header line "n m", then m lines
-"u v" with 0-indexed endpoints.
+"u v" with 0-indexed endpoints, each edge once in either orientation.
 """
 
 from __future__ import annotations
@@ -117,12 +117,17 @@ def edge_list_to_graph(text: str) -> Graph:
     if len(lines) - 1 != m:
         raise ValueError(f"header announces {m} edges but {len(lines) - 1} lines follow")
     edges = []
+    seen = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"edge line must be 'u v', got {ln!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"edge line must be two integers, got {ln!r}") from None
+        if (u, v) in seen:
+            raise ValueError(f"edge line {ln!r} repeats an earlier edge")
+        seen.update(((u, v), (v, u)))
+        edges.append((u, v))
     return Graph(n, edges)

@@ -22,10 +22,10 @@ from .graph import Edge, Graph, _bits, is_forest
 class VertexPartition:
     """Disjoint non-empty blocks of vertices.  Blocks are frozensets, ordered
     by minimum element; the partition's order is the number of vertices it
-    touches.  Each block is stored as a sorted tuple, and the frozensets are
-    built on first use."""
+    touches.  Each block is stored only as a sorted tuple, and the
+    frozensets are built on each access."""
 
-    __slots__ = ("_sorted", "_blocks")
+    __slots__ = ("_sorted",)
 
     def __init__(self, blocks: Iterable[Iterable[int]] = ()):
         bs = []
@@ -40,13 +40,10 @@ class VertexPartition:
             seen |= block
             bs.append(tuple(sorted(block)))
         self._sorted = tuple(sorted(bs))  # disjoint, so ordered by minimum
-        self._blocks = None
 
     @property
     def blocks(self) -> tuple[frozenset, ...]:
-        if self._blocks is None:
-            self._blocks = tuple(frozenset(b) for b in self._sorted)
-        return self._blocks
+        return tuple(frozenset(b) for b in self._sorted)
 
     @property
     def order(self) -> int:
@@ -73,7 +70,7 @@ class VertexPartition:
 
 def normalize_partition(p: VertexPartition | Iterable[Iterable[int]]) -> VertexPartition:
     """Drop empty and singleton blocks; identifying those is a no-op."""
-    blocks = p.blocks if isinstance(p, VertexPartition) else [frozenset(b) for b in p]
+    blocks = p._sorted if isinstance(p, VertexPartition) else [frozenset(b) for b in p]
     return VertexPartition([b for b in blocks if len(b) >= 2])
 
 
@@ -102,15 +99,6 @@ def identify_partition(g: Graph, p: VertexPartition) -> tuple[Graph, tuple[int, 
     return Graph._from_rows(rows), tuple(image)
 
 
-def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:
-    """Identify one vertex set; returns the graph and the heir's label."""
-    block = frozenset(x)
-    if not block:
-        raise InvalidBlockError("cannot identify an empty set")
-    h, image = identify_partition(g, VertexPartition([block]))
-    return h, image[min(block)]
-
-
 def contract_edge(g: Graph, e: Edge) -> Graph:
     """Contract edge e: the identification of the 2-block {u, v}, so the
     untouched vertices keep their relative order at 0..n-3 and the heir is
@@ -131,7 +119,7 @@ def is_id_forest_partition(g: Graph, p: VertexPartition) -> bool:
 # text format: blocks separated by ';', vertices by ','  e.g. "0,2;1,3"
 
 def partition_to_text(p: VertexPartition) -> str:
-    return ";".join(",".join(str(v) for v in sorted(b)) for b in p.blocks)
+    return ";".join(",".join(map(str, b)) for b in p._sorted)
 
 
 def text_to_partition(text: str) -> VertexPartition:

@@ -50,10 +50,8 @@ from itertools import combinations
 from .canon import _refine, _search, _twins, canonical_form
 from .errors import SizeLimitError
 from .graph import (Graph, _bits, _core, _relabel, bridges, connected_components,
-                    delete_edge, delete_vertex, disjoint_union, induced_subgraph,
-                    is_2_connected)
+                    delete_vertex, disjoint_union, induced_subgraph, is_2_connected)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
-from .identify import contract_edge
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
 from .solver import idf_exact
@@ -62,7 +60,6 @@ from .vc import _vc_split, vc_exact
 ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
 
-Predicate = Callable[[Graph], bool]
 Classifier = Callable[[list[int], bool, list[int]], bool | None]
 
 
@@ -280,26 +277,6 @@ def enumerate_graphs(n: int, *, workers: int = 1) -> Iterator[Graph]:
     return map(graph6_to_graph, level)
 
 
-def one_step_minors(g: Graph) -> Iterator[Graph]:
-    """Every graph one minor operation away: a vertex deleted, an edge
-    deleted, or an edge contracted."""
-    for v in range(g.n):
-        yield delete_vertex(g, v)
-    for e in sorted(g.edges):
-        yield delete_edge(g, e)
-        yield contract_edge(g, e)
-
-
-def is_minor_minimal(g: Graph, predicate: Predicate) -> bool:
-    """True when g fails the predicate but every one-step minor satisfies it
-    (for a minor-closed predicate, every proper minor then satisfies it).
-
-    The predicate is called directly, stopping at the first minor that fails
-    it; keying its results by canonical form costs more than the decisions
-    it would save."""
-    return not predicate(g) and all(predicate(h) for h in one_step_minors(g))
-
-
 # ---------------------------------------------------------------------------
 # obstruction scans
 
@@ -374,7 +351,7 @@ def _edge_minor_rows(rows: list[int]) -> Iterator[list[int]]:
 
 
 def _minimal(rows: list[int], kind: str, k: int) -> bool:
-    """`is_minor_minimal` with the kind's decision, on rows: no vertex is
+    """Minor-minimality for the kind's decision, on rows: no vertex is
     isolated, every edge minor is a member and the graph is not.  Each G - v
     is then a subgraph of some G - e, and an isolated vertex changes neither
     value.  The graph's own test comes last, so a scan child, which has just
@@ -482,7 +459,7 @@ def _has_spanning_copy(g: Graph, h: Graph) -> bool:
     if h.n > g.n or h.m > g.m:
         return False
     target = canonical_form(disjoint_union(h, Graph(g.n - h.n)))
-    degs = sorted([h.degree(v) for v in range(h.n)] + [0] * (g.n - h.n))
+    degs = sorted([row.bit_count() for row in h.adj_masks] + [0] * (g.n - h.n))
     return any(sorted(row.bit_count() for row in rows) == degs
                and canonical_form(Graph._from_rows(rows)) == target
                for rows in _spanning_rows(g, h.m))

@@ -123,42 +123,23 @@ class MinorModel:
     branch_sets: Mapping[int, frozenset]
 
     def validates_in(self, host: Graph) -> bool:
-        sets = [self.branch_sets.get(v) for v in range(self.pattern.n)]
-        if any(s is None or not s for s in sets):
-            return False
-        union: set = set()
-        for s in sets:
-            if not all(0 <= v < host.n for v in s):
+        adj = host.adj_masks
+        masks = []
+        used = 0
+        for p in range(self.pattern.n):
+            mask = 0
+            for v in self.branch_sets.get(p) or ():
+                if not 0 <= v < host.n:
+                    return False
+                mask |= 1 << v
+            if not mask or mask & used or components(adj, mask) != [mask]:
                 return False
-            if union & s:
-                return False
-            union |= s
-            if not _connected_in(host, s):
-                return False
-        for u, v in self.pattern.edges:
-            if not _touching(host, sets[u], sets[v]):
-                return False
-        return True
+            masks.append(mask)
+            used |= mask
+        return all(_neighbours(adj, masks[u]) & masks[v] for u, v in self.pattern.edges)
 
     def as_json_dict(self) -> dict:
         return {"branch_sets": [sorted(self.branch_sets[v]) for v in range(self.pattern.n)]}
-
-
-def _connected_in(host: Graph, vertices: frozenset) -> bool:
-    start = min(vertices)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in host.adj[u]:
-            if w in vertices and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
-def _touching(host: Graph, a: frozenset, b: frozenset) -> bool:
-    return any(w in b for v in a for w in host.adj[v])
 
 
 def _connected_subsets(adj: tuple[int, ...], allowed: int, max_size: int) -> Iterator[int]:
@@ -198,12 +179,12 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
     if h.n == 0:
         return MinorModel(h, {})
     adj = g.adj_masks
+    pattern = h.adj_masks
     # assign big pattern components first, high degree vertices first inside them
-    comps = sorted(components(h.adj_masks, (1 << h.n) - 1), key=int.bit_count, reverse=True)
+    comps = sorted(components(pattern, (1 << h.n) - 1), key=int.bit_count, reverse=True)
     order: list[int] = []
     for comp in comps:
-        order.extend(sorted(_bits(comp), key=lambda v: (-h.degree(v), v)))
-    pos = {v: i for i, v in enumerate(order)}
+        order.extend(sorted(_bits(comp), key=lambda v: (-pattern[v].bit_count(), v)))
 
     assignment: dict[int, int] = {}  # pattern vertex -> branch mask
 
@@ -216,8 +197,8 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
         budget = bin(free).count("1") - remaining_after
         if budget <= 0:
             return False
-        fixed_nbrs = [assignment[q] for q in h.adj[p] if q in assignment]
-        open_nbrs = sum(1 for q in h.adj[p] if q not in assignment)
+        fixed_nbrs = [assignment[q] for q in _bits(pattern[p]) if q in assignment]
+        open_nbrs = sum(1 for q in _bits(pattern[p]) if q not in assignment)
         for bmask in _connected_subsets(adj, free, budget):
             nb = _neighbours(adj, bmask)
             if any(not (nb & s) for s in fixed_nbrs):

@@ -82,7 +82,7 @@ def apex_bridgeless(g: Graph) -> tuple[Graph, int]:
     The result has no bridges, and when g has at least one edge its minimum
     vertex cover grows by exactly one.  Returns (graph, apex label).
     """
-    targets = [v for v in range(g.n) if g.degree(v) > 0]
+    targets = [v for v, row in enumerate(g.adj_masks) if row]
     return with_new_vertex(g, targets), g.n
 
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Iterable
 
 import pytest
 
-from idforest import Graph, enumerate_graphs
+from idforest import (Graph, InvalidBlockError, VertexPartition, enumerate_graphs,
+                      identify_partition)
 
 
 def graphs_up_to(n: int) -> list[Graph]:
@@ -49,6 +51,19 @@ def unlabeled_graph_count(n: int) -> int:
 def relabel(g: Graph, perm: list[int] | tuple[int, ...]) -> Graph:
     """The image of g under vertex -> perm[vertex]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:
+    """Identify one vertex set; returns the graph and the heir's label."""
+    block = frozenset(x)
+    if not block:
+        raise InvalidBlockError("cannot identify an empty set")
+    h, image = identify_partition(g, VertexPartition([block]))
+    return h, image[min(block)]
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

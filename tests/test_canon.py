@@ -8,12 +8,13 @@ import itertools
 import random
 
 import pytest
-from conftest import graphs_up_to, random_graph, relabel, unlabeled_graph_count
+from conftest import (complete_bipartite_graph, graphs_up_to, random_graph, relabel,
+                      unlabeled_graph_count)
 
 import idforest.canon as canon
 from idforest import (CANON_MAX_VERTICES, Graph, SizeLimitError,
                       canonical_form, canonical_graph, canonical_labeling,
-                      complete_bipartite_graph, cycle_graph, disjoint_union,
+                      cycle_graph, disjoint_union,
                       enumerate_graphs, gen_antichain_h, gen_marguerite,
                       is_isomorphic, path_graph)
 

@@ -61,6 +61,14 @@ class TestSolve:
         status, payload = run_json(capsys, "solve", str(path), "--format", "edgelist")
         assert status == 0 and payload["idf"] == 2
 
+    def test_repeated_edge_line_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.edges"
+        path.write_text("3 2\n0 1\n1 0\n")
+        status = main(["solve", str(path), "--format", "edgelist", "--json"])
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert "edge line '1 0' repeats an earlier edge" in captured.err
+
 
 class TestCheck:
     def test_valid_witness(self, capsys):

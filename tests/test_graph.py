@@ -7,14 +7,14 @@ import itertools
 import random
 
 import pytest
-from conftest import random_graph
+from conftest import complete_bipartite_graph, random_graph
 
 from idforest import graph
-from idforest import (Graph, NotPresentError, bridges, complete_bipartite_graph,
-                      complete_graph, connected_components, contract_edge,
-                      cut_vertices, cycle_graph, delete_edge, delete_vertex,
-                      disjoint_union, induced_subgraph, is_2_connected,
-                      is_connected, is_forest, is_isomorphic, path_graph,
+from idforest import (Graph, NotPresentError, bridges, complete_graph,
+                      connected_components, contract_edge, cut_vertices,
+                      cycle_graph, delete_edge, delete_vertex, disjoint_union,
+                      induced_subgraph, is_2_connected, is_connected,
+                      is_forest, is_isomorphic, path_graph,
                       remove_bridges, with_new_vertex)
 
 
@@ -63,8 +63,8 @@ class TestConstruction:
         b = Graph(3, [(1, 0)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(3, [(0, 2)])
-        # hashing reads the packed matrix and builds no lazy view
-        assert a._edges is None and a._adj is None
+        # a graph keeps only its packed matrix, so hashing reads that
+        assert Graph.__slots__ == ("n", "_matrix")
         assert hash(Graph._from_rows([0b10, 0b01, 0])) == hash(a)
 
 
@@ -86,11 +86,25 @@ class TestPackedMatrix:
         g = Graph(n, edges)
         assert g.adj_masks == tuple(rows)
         assert g.edges == frozenset(edges) and g.m == len(edges)
-        assert g.adj == tuple(frozenset(w for w in range(n) if rows[v] >> w & 1)
-                              for v in range(n))
+        for v in range(n):
+            assert g.neighbors(v) == frozenset(w for w in range(n) if rows[v] >> w & 1)
+            assert g.degree(v) == sum(v in e for e in edges)
+            assert [g.has_edge(v, w) for w in range(n)] == [bool(rows[v] >> w & 1)
+                                                            for w in range(n)]
         h = Graph(n, [(v, u) for u, v in reversed(edges)])
         assert h == g and hash(h) == hash(g)
         assert Graph._from_rows(rows) == g
+
+    @pytest.mark.parametrize("n", [0, 9, 70])
+    def test_row_reads_refuse_non_vertices(self, n):
+        g = complete_graph(n)
+        for u, v in [(-1, 0), (0, -1), (-1, -1), (n, 0), (0, n), (n - 1, n), (-1, n - 1)]:
+            assert g.has_edge(u, v) is False
+        for v in (-1, n):
+            with pytest.raises(NotPresentError):
+                g.degree(v)
+            with pytest.raises(NotPresentError):
+                g.neighbors(v)
 
     @pytest.mark.parametrize("n", [v for v in SIZES if v])
     def test_row_builders_match_edge_definitions(self, n):

@@ -119,6 +119,7 @@ class TestEdgeList:
         ("2 1\n0 3\n", "leaves vertex range"),
         ("2 1\n0\n", "edge line must be 'u v'"),
         ("2 1\n0 x\n", "edge line must be two integers, got '0 x'"),
+        ("3 2\n0 1\n1 0\n", "edge line '1 0' repeats an earlier edge"),
     ]
 
     @pytest.mark.parametrize("text,match", MALFORMED, ids=[text for text, _ in MALFORMED])

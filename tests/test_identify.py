@@ -6,11 +6,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import graphs_up_to, random_graph
+from conftest import graphs_up_to, identify_set, random_graph
 
 from idforest import (Graph, InvalidBlockError, VertexPartition,
                       complete_graph, contract_edge, cycle_graph,
-                      disjoint_union, identify_partition, identify_set,
+                      disjoint_union, identify_partition,
                       is_id_forest_partition, is_isomorphic,
                       normalize_partition, partition_to_text, path_graph,
                       text_to_partition)
@@ -59,8 +59,8 @@ class TestVertexPartition:
         a = VertexPartition([[0, 1], [2, 3]])
         b = VertexPartition([[3, 2], [1, 0]])
         assert a == b and hash(a) == hash(b)
-        # hashing reads the sorted blocks and builds no frozensets
-        assert a._blocks is None and b._blocks is None
+        # a partition keeps only its sorted blocks, so hashing reads those
+        assert VertexPartition.__slots__ == ("_sorted",)
 
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidBlockError):

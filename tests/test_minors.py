@@ -11,13 +11,13 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import graphs_up_to, random_graph
+from conftest import graphs_up_to, identify_set, random_graph
 
 from idforest import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX, Graph,
                       SizeLimitError, VertexPartition, brute_minor,
                       circumference, complete_graph, cycle_graph, cycle_packing,
                       dichotomy, disjoint_union, exact_fvs, gen_antichain_h,
-                      gen_cycle, gen_marguerite, gen_triangles, identify_set,
+                      gen_cycle, gen_marguerite, gen_triangles,
                       identify_partition, idf_exact, induced_subgraph,
                       is_forest, is_id_forest_partition, is_isomorphic,
                       longest_cycle, marguerite_model, max_cycle_packing,
@@ -54,7 +54,7 @@ def independent_max_packing(g: Graph) -> int:
                 stack = [0]
                 while stack:
                     u = stack.pop()
-                    for w in sub.adj[u]:
+                    for w in sub.neighbors(u):
                         if w not in comp_seen:
                             comp_seen.add(w)
                             stack.append(w)
@@ -356,4 +356,4 @@ class TestKeptResults:
         finally:
             tracemalloc.stop()
         assert per_result < 1024
-        assert all(g._edges is None and g._adj is None for g, _ in kept)
+        assert Graph.__slots__ == ("n", "_matrix")

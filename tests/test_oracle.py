@@ -8,12 +8,12 @@ import itertools
 import random
 
 import pytest
-from conftest import graphs_up_to, random_graph
+from conftest import complete_bipartite_graph, graphs_up_to, random_graph
 
 from idforest import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_MINOR_MAX,
                       BRUTE_VC_MAX, Graph, MinorModel, SizeLimitError,
                       VertexPartition, brute_ecf, brute_idf, brute_minor,
-                      brute_vc, complete_bipartite_graph, complete_graph,
+                      brute_vc, complete_graph,
                       cycle_graph, disjoint_union, gen_antichain_h,
                       gen_marguerite, identify_partition, is_forest,
                       is_id_forest_partition, path_graph, vc_exact)
@@ -103,6 +103,29 @@ class TestBruteIdf:
             assert set(generated) == reference
             counts.append(len(generated))
         assert counts == [1, 0, 1, 1, 4, 11, 41, 162, 715]
+
+
+def validates_by_sets(model: MinorModel, host: Graph) -> bool:
+    """The model conditions on vertex sets: one non-empty set of host
+    vertices per pattern vertex, pairwise disjoint, each connected by a
+    flood fill through `neighbors`, and each pattern edge realised by a
+    host edge between its two sets."""
+    sets = [set(model.branch_sets.get(p, ())) for p in range(model.pattern.n)]
+    if any(not s or not s <= set(range(host.n)) for s in sets):
+        return False
+    if sum(map(len, sets)) != len(set().union(*sets)):
+        return False
+    for s in sets:
+        seen = {min(s)}
+        stack = list(seen)
+        while stack:
+            for w in (host.neighbors(stack.pop()) & s) - seen:
+                seen.add(w)
+                stack.append(w)
+        if seen != s:
+            return False
+    return all(any(host.has_edge(a, b) for a in sets[u] for b in sets[v])
+               for u, v in model.pattern.edges)
 
 
 def all_partitions_of_subsets(n: int):
@@ -232,6 +255,42 @@ class TestBruteMinor:
         out_of_range = dict(sets)
         out_of_range[0] = frozenset({99})
         assert not MinorModel(complete_graph(3), out_of_range).validates_in(host)
+        negative = dict(sets)
+        negative[0] = sets[0] | {-1}
+        assert not MinorModel(complete_graph(3), negative).validates_in(host)
+        for absent in ({p: s for p, s in sets.items() if p != 0}, {**sets, 0: None}):
+            assert not MinorModel(complete_graph(3), absent).validates_in(host)
+        # on the path 0-1-2-3: {0, 1} and {2} model an edge, while {0, 1}
+        # and {1, 2} overlap, {0, 2} is not connected and {0} and {3} do
+        # not touch
+        k2, path = path_graph(2), path_graph(4)
+        assert MinorModel(k2, {0: frozenset({0, 1}), 1: frozenset({2})}).validates_in(path)
+        assert not MinorModel(k2, {0: frozenset({0, 1}), 1: frozenset({1, 2})}).validates_in(path)
+        assert not MinorModel(k2, {0: frozenset({0, 2}), 1: frozenset({3})}).validates_in(path)
+        assert not MinorModel(k2, {0: frozenset({0}), 1: frozenset({3})}).validates_in(path)
+
+    def test_mask_checker_matches_the_set_definition(self):
+        # brute_minor models, each also with every vertex moved, and copied,
+        # to every other branch set in turn, judged by validates_in and by
+        # the sets
+        rng = random.Random(149)
+        verdicts = []
+        for _ in range(30):
+            host = random_graph(rng, rng.randint(4, 8), 0.5)
+            pattern = random_graph(rng, rng.randint(2, 4), 0.7)
+            model = brute_minor(pattern, host)
+            if model is None:
+                continue
+            variants = [model]
+            for p, q in itertools.permutations(range(pattern.n), 2):
+                for v in model.branch_sets[p]:
+                    copied = {**model.branch_sets, q: model.branch_sets[q] | {v}}
+                    moved = {**copied, p: model.branch_sets[p] - {v}}
+                    variants += [MinorModel(pattern, copied), MinorModel(pattern, moved)]
+            for m in variants:
+                verdicts.append(m.validates_in(host))
+                assert verdicts[-1] == validates_by_sets(m, host), m
+        assert True in verdicts and False in verdicts
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):

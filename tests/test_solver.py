@@ -13,12 +13,12 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import graphs_up_to, random_graph, relabel
+from conftest import complete_bipartite_graph, graphs_up_to, random_graph, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idforest import (Graph, VertexPartition, apex_bridgeless, bridges,
-                      brute_vc, complete_bipartite_graph, complete_graph,
+                      brute_vc, complete_graph,
                       cycle_graph, disjoint_union,
                       gen_marguerite, gen_triangles, identify_partition,
                       idf_decision, idf_exact, idf_kernel, is_forest,

@@ -8,11 +8,11 @@ import itertools
 import random
 
 import pytest
-from conftest import brute_lp_value, graphs_up_to, random_graph
+from conftest import brute_lp_value, complete_bipartite_graph, graphs_up_to, random_graph
 
 from idforest import vc
 from idforest import (Graph, KernelInstance, SizeLimitError,
-                      complete_bipartite_graph, complete_graph, cycle_graph,
+                      complete_graph, cycle_graph,
                       disjoint_union, graph6_str, idf_exact, idf_kernel,
                       induced_subgraph, lp_half_integral, nt_kernel, path_graph,
                       vc_decision, vc_exact)
