@@ -46,6 +46,12 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   negative.  Each graph goes to a fresh interpreter, which times one
   `idf_kernel` call and reports its own peak RSS and the kernel's size,
   budget, forced vertices and verdict.
+- `solve`: `idf_exact` per n in SOLVE_SIZES (24..64), on seeded G(n, m)
+  graphs of average degree 3..8, two a degree, as in the perfbench solve
+  workload.  The size's time is the sum over its graphs of the best of a
+  few repeats.  A separate pass keeps every certificate of the size under
+  `tracemalloc`, with the graphs built before tracing starts, and reports
+  the traced bytes still held per certificate.
 
 Counters come from each side's first run.  For each row the file reports
 each side's median and quartiles of the time over all runs, and in how many
@@ -58,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -68,6 +75,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -303,6 +311,52 @@ def measure_kernel() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# solve: idf_exact on G(n, m)
+
+SOLVE_SIZES = range(24, 65, 8)
+SOLVE_DEGREES = (3, 4, 5, 6, 7, 8)
+SOLVE_SEEDS = range(2)
+
+
+def _gnm_edges(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
+    """round(degree * n / 2) distinct random edges on n vertices."""
+    rng = random.Random(f"solve/{n}/{degree}/{seed}")
+    return sorted(rng.sample(list(itertools.combinations(range(n), 2)), round(degree * n / 2)))
+
+
+def _kept_bytes(graphs: list, call) -> float:
+    """Traced bytes still held per result after calling `call` on each
+    graph and keeping the results; the graphs are built before tracing."""
+    import gc
+    import tracemalloc
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [call(g) for g in graphs]
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+    finally:
+        tracemalloc.stop()
+
+
+def measure_solve() -> dict:
+    from idforest import Graph, idf_exact
+    rows = []
+    for n in SOLVE_SIZES:
+        cells = [_gnm_edges(n, d, seed) for d in SOLVE_DEGREES for seed in SOLVE_SEEDS]
+        ms = idf = 0
+        for edges in cells:
+            secs, cert = _best_of(lambda: Graph(n, edges), idf_exact)
+            ms += secs * 1e3
+            idf += cert.value
+        kept = _kept_bytes([Graph(n, edges) for edges in cells], idf_exact)
+        rows.append({"n": n, "graphs": len(cells), "idf_sum": idf,
+                     "kept_bytes_per_certificate": round(kept, 1), "solve_ms": ms})
+    return {"sizes": rows}
+
+
+# ---------------------------------------------------------------------------
 # the runner
 
 class Layer(NamedTuple):
@@ -331,6 +385,12 @@ LAYERS = {
                     "up, one call in a fresh interpreter a run, on G with 2n random "
                     "edges and on a chain of diamonds; peak RSS is that interpreter's, "
                     "from each side's first run"),
+    "solve": Layer(measure_solve, "solve_ms", ("n", "graphs"),
+                   f"idf_exact on G(n, m) with average degree {SOLVE_DEGREES[0]}.."
+                   f"{SOLVE_DEGREES[-1]}, {len(SOLVE_SEEDS)} graphs a degree: sum over "
+                   f"the graphs of the best of {REPEATS} calls; kept bytes = traced "
+                   "bytes still held per certificate when every certificate of the "
+                   "size is kept, the input graphs excluded, from each side's first run"),
 }
 
 

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 from .graph import Graph, is_forest
 from .graphio import edge_list_to_graph, graph6_str, graph6_to_graph
-from .identify import identify_partition, text_to_partition
+from .identify import VertexPartition, _text_blocks, identify_partition
 from .minors import dichotomy, gen_antichain_h, gen_cycle, gen_marguerite, gen_triangles
 from .obstructions import (ObstructionReport, obs_idf, obs_vc, verify_section4,
                            write_catalog)
@@ -76,11 +76,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    partition = text_to_partition(args.partition)
-    if any(v >= g.n or v < 0 for v in partition.support()):
+    blocks = _text_blocks(args.partition)
+    if any(not 0 <= v < g.n for block in blocks for v in block):
         _emit(args, {"valid": False, "reason": "vertex out of range"},
               ["invalid: vertex out of range"])
         return 1
+    partition = VertexPartition(blocks)
     quotient, _ = identify_partition(g, partition)
     forest_ok = is_forest(quotient)
     order_ok = partition.order == args.order

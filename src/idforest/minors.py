@@ -31,7 +31,7 @@ from .graph import (Graph, _bits, _edge_list, _neighbours, cycle_graph, disjoint
 from .identify import VertexPartition
 from .oracle import MinorModel, _connected_subsets
 from .solver import _split_cover
-from .vc import vc_exact
+from .vc import _cover_mask
 
 CYCLE_SEARCH_MAX = 16
 MARGUERITE_SEARCH_MAX = 12
@@ -463,4 +463,4 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
             return DichotomyOutcome("marguerite", k, model, None)
 
     core = remove_bridges(g)
-    return DichotomyOutcome(None, None, None, _split_cover(core, vc_exact(core).cover))
+    return DichotomyOutcome(None, None, None, _split_cover(core, _cover_mask(core)))

@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, connected_components, bridges, remove_bridges, with_new_vertex
+from .graph import Graph, bridges, components, remove_bridges, with_new_vertex
 from .graphio import graph6_str
 from .identify import VertexPartition, identify_partition
-from .vc import KernelInstance, nt_kernel, vc_decision, vc_exact
+from .vc import KernelInstance, _cover_mask, nt_kernel, vc_decision
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,25 +50,23 @@ def partition_from_cover(g: Graph, cover: Iterable[int]) -> VertexPartition:
 
     Identifying the result is always a forest: inside a component the block
     covers every edge, so the quotient is a star, and blocks never span a
-    bridge, so re-adding bridges cannot close a cycle.
+    bridge, so re-adding bridges cannot close a cycle.  Labels outside g
+    are ignored.
     """
-    return _split_cover(remove_bridges(g), frozenset(cover))
+    return _split_cover(remove_bridges(g), sum(1 << v for v in set(cover) if 0 <= v < g.n))
 
 
-def _split_cover(core: Graph, cover: frozenset) -> VertexPartition:
-    blocks = []
-    for comp in connected_components(core):
-        block = cover & comp
-        if len(block) >= 2:
-            blocks.append(block)
-    return VertexPartition(blocks)
+def _split_cover(core: Graph, cover: int) -> VertexPartition:
+    """`partition_from_cover` on the bridgeless core, for a cover mask."""
+    blocks = (comp & cover for comp in components(core.adj_masks, (1 << core.n) - 1))
+    return VertexPartition._from_masks(b for b in blocks if b.bit_count() >= 2)
 
 
 def idf_exact(g: Graph) -> IdfCertificate:
     """Minimum identification order with a witness partition."""
     core = remove_bridges(g)
-    sol = vc_exact(core)
-    return IdfCertificate(value=sol.value, partition=_split_cover(core, sol.cover), graph=g)
+    cover = _cover_mask(core)
+    return IdfCertificate(value=cover.bit_count(), partition=_split_cover(core, cover), graph=g)
 
 
 def idf_decision(g: Graph, k: int) -> bool:

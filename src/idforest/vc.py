@@ -268,15 +268,32 @@ def vc_exact(g: Graph) -> VcSolution:
     exceeds it.  A lower bound cuts only branches that could not return a
     cover within their cap, so the cover returned, ties included, is the
     one the branching finds without the cut.
+
+    The branching runs inside the components of the half-valued subgraph,
+    and every component it meets deeper down is a subset of one of them.
+    So the size guard is on those components, not on g: one with more than
+    VC_MAX_VERTICES vertices and a vertex of degree above 2 in it raises
+    SizeLimitError, and any larger graph whose components pass is solved.
     """
-    if g.n > VC_MAX_VERTICES:
-        raise SizeLimitError(f"vc_exact supports up to {VC_MAX_VERTICES} vertices, got {g.n}")
+    cover = frozenset(_bits(_cover_mask(g)))
+    return VcSolution(value=len(cover), cover=cover)
+
+
+def _cover_mask(g: Graph) -> int:
+    """`vc_exact`'s cover as a vertex mask."""
     left, right = _double_cover_min_cover(g)
     half = left ^ right
-    sol = _vc_split(g.adj_masks, half, half.bit_count())
+    adj = g.adj_masks
+    if g.n > VC_MAX_VERTICES:
+        for comp in components(adj, half):
+            if comp.bit_count() > VC_MAX_VERTICES and any(
+                    (adj[v] & comp).bit_count() > 2 for v in _bits(comp)):
+                raise SizeLimitError(
+                    f"vc_exact branches on components of up to {VC_MAX_VERTICES} "
+                    f"vertices, got one of {comp.bit_count()} in a graph on {g.n}")
+    sol = _vc_split(adj, half, half.bit_count())
     assert sol is not None
-    cover = frozenset(_bits(left & right | sol))
-    return VcSolution(value=len(cover), cover=cover)
+    return left & right | sol
 
 
 def vc_decision(g: Graph, k: int) -> bool:

@@ -66,6 +66,12 @@ def identify_set(g: Graph, x: Iterable[int]) -> tuple[Graph, int]:
     return h, image[min(block)]
 
 
+def prism(t: int) -> Graph:
+    """C_t x K2: two t-cycles 0..t-1 and t..2t-1, and the spokes i - t+i."""
+    outer = [(i, (i + 1) % t) for i in range(t)]
+    return Graph(2 * t, outer + [(u + t, v + t) for u, v in outer] + [(i, i + t) for i in range(t)])
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return Graph(n, [e for e in itertools.combinations(range(n), 2)
                      if rng.random() < p])

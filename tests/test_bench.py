@@ -83,3 +83,18 @@ def test_kernel_worker_times_and_sizes_each_graph(monkeypatch):
         assert not g["decided_no"]
         assert g["kernel_n"] <= 2 * g["k"] + 1 and g["budget"] <= g["k"] + 1
         assert g["peak_rss_mb"] > 0 and g["s"] > 0
+
+
+def test_solve_worker_times_and_weighs_certificates(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    monkeypatch.setattr(bench, "SOLVE_SIZES", (24, 64))
+    monkeypatch.setattr(bench, "SOLVE_SEEDS", range(1))
+    run = bench.measure_solve()
+    assert list(run) == ["sizes"]
+    assert [(row["n"], row["graphs"]) for row in run["sizes"]] == [(24, 6), (64, 6)]
+    for row in run["sizes"]:
+        assert set(row) == {"n", "graphs", "idf_sum", "kept_bytes_per_certificate", "solve_ms"}
+        assert row["idf_sum"] > 0 and row["solve_ms"] > 0
+        assert 0 < row["kept_bytes_per_certificate"] < 4096

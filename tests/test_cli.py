@@ -9,8 +9,9 @@ import subprocess
 import sys
 
 import pytest
+from conftest import prism
 
-from idforest import (Graph, cycle_graph, edge_list_str, gen_marguerite,
+from idforest import (Graph, cycle_graph, edge_list_str, gen_marguerite, graph6_str,
                       graph6_to_graph, is_isomorphic)
 from idforest.cli import main
 
@@ -94,6 +95,13 @@ class TestCheck:
                                    "--partition", "1,9", "--order", "2")
         assert status == 1
         assert payload["reason"] == "vertex out of range"
+
+    @pytest.mark.parametrize("text", ["-1,2", "0,1000000000000"])
+    def test_label_outside_every_graph_is_invalid(self, capsys, text):
+        # a negative or huge label is an out-of-range vertex, not unusable input
+        status, out = run(capsys, "check", "Bw", "--order", "1", f"--partition={text}", "--json")
+        assert status == 1
+        assert out == '{"reason": "vertex out of range", "valid": false}\n'
 
     def test_vertex_repeated_in_a_block_is_an_error(self, capsys):
         status = main(["check", "Bw", "--partition", "0,0", "--order", "1", "--json"])
@@ -265,7 +273,7 @@ class TestErrorHandling:
         assert err.startswith("error:") and "(byte 1)" in err
 
     def test_graph6_size_guard_at_the_boundary(self, capsys):
-        # 63 and 64 vertices (vc_exact's limit) take graph6's "~" size form
+        # 63 and 64 vertices take graph6's "~" size form
         for text in ("~??~" + "?" * 326, "~?@?" + "?" * 336):
             status, payload = run_json(capsys, "solve", text)
             assert status == 0 and payload["idf"] == 0
@@ -274,6 +282,15 @@ class TestErrorHandling:
         assert main(["solve", "~~" + "?" * 6]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "(byte 1)" in err
+
+    def test_branching_guard_exits_2(self, capsys):
+        # the prism C33 x K2 is bridgeless and one 66-vertex half-valued component
+        assert main(["solve", graph6_str(prism(33)), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "vc_exact branches on components of up to 64" in captured.err
+        # a 65-cycle is past the old vertex limit, and needs no branching
+        status, payload = run_json(capsys, "solve", graph6_str(cycle_graph(65)))
+        assert status == 0 and payload["idf"] == 33
 
     def test_non_ascii_graph6_is_refused(self, capsys):
         assert main(["solve", "B\u00e9"]) == 2

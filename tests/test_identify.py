@@ -8,7 +8,7 @@ import random
 import pytest
 from conftest import graphs_up_to, identify_set, random_graph
 
-from idforest import (Graph, InvalidBlockError, VertexPartition,
+from idforest import (GRAPH6_MAX_VERTICES, Graph, InvalidBlockError, VertexPartition,
                       complete_graph, contract_edge, cycle_graph,
                       disjoint_union, identify_partition,
                       is_id_forest_partition, is_isomorphic,
@@ -59,8 +59,8 @@ class TestVertexPartition:
         a = VertexPartition([[0, 1], [2, 3]])
         b = VertexPartition([[3, 2], [1, 0]])
         assert a == b and hash(a) == hash(b)
-        # a partition keeps only its sorted blocks, so hashing reads those
-        assert VertexPartition.__slots__ == ("_sorted",)
+        # a partition keeps only its block masks, so hashing reads those
+        assert VertexPartition.__slots__ == ("_masks",)
 
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidBlockError):
@@ -70,9 +70,101 @@ class TestVertexPartition:
         with pytest.raises(InvalidBlockError):
             VertexPartition([[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("blocks", [[[0, -1]], [[2], [-3, 4]]])
+    def test_negative_label_rejected(self, blocks):
+        with pytest.raises(InvalidBlockError, match="block vertex -"):
+            VertexPartition(blocks)
+
+    @pytest.mark.parametrize("label", [GRAPH6_MAX_VERTICES + 1, 10**12])
+    def test_label_past_every_graph_rejected(self, label):
+        # a label is a bit position, so a huge one must not build a huge int
+        with pytest.raises(InvalidBlockError, match=f"block vertex {label} not in"):
+            VertexPartition([[0, label]])
+        assert VertexPartition([[0, GRAPH6_MAX_VERTICES]]).order == 2
+
+    def test_overlap_names_the_shared_vertices(self):
+        with pytest.raises(InvalidBlockError, match=r"^blocks overlap on \[3, 70\]$"):
+            VertexPartition([[70, 3, 1], [5], [0, 70, 3]])
+
     def test_normalize_drops_noop_blocks(self):
         assert normalize_partition([(1, 0)]) == VertexPartition([[0, 1]])
         assert normalize_partition([[3], [0, 1], []]) == VertexPartition([[0, 1]])
+
+
+class SetPartition:
+    """The set-based reference for `VertexPartition`: frozenset blocks
+    ordered by minimum, every view read straight off them."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(sorted((frozenset(b) for b in blocks), key=min))
+
+    def text(self) -> str:
+        return ";".join(",".join(map(str, sorted(b))) for b in self.blocks)
+
+    def repr(self) -> str:
+        return f"VertexPartition({[sorted(b) for b in self.blocks]})"
+
+    def identify(self, g: Graph) -> tuple[Graph, tuple[int, ...]]:
+        support = set().union(*self.blocks)
+        untouched = [v for v in range(g.n) if v not in support]
+        image = {v: i for i, v in enumerate(untouched)}
+        for heir, block in enumerate(self.blocks, len(untouched)):
+            image.update(dict.fromkeys(block, heir))
+        edges = {(min(image[u], image[v]), max(image[u], image[v]))
+                 for u, v in g.edges if image[u] != image[v]}
+        return (Graph(len(untouched) + len(self.blocks), edges),
+                tuple(image[v] for v in range(g.n)))
+
+
+def random_blocks(rng: random.Random, n: int) -> list[list[int]]:
+    """Disjoint blocks of 1..4 vertices from a random subset of 0..n-1."""
+    verts = rng.sample(range(n), rng.randint(0, n))
+    blocks = []
+    while verts:
+        size = rng.randint(1, min(4, len(verts)))
+        blocks.append([verts.pop() for _ in range(size)])
+    return blocks
+
+
+class TestMaskTwin:
+    """`VertexPartition` stores block masks; each view must equal the one
+    the set-based reference reads off frozensets, labels above 64 included."""
+
+    def test_views_match_the_set_reference(self):
+        rng = random.Random(71)
+        g = random_graph(rng, 71, 0.05)
+        for _ in range(300):
+            blocks = random_blocks(rng, 71)
+            p, ref = VertexPartition(blocks), SetPartition(blocks)
+            assert p.blocks == ref.blocks and list(p) == list(ref.blocks)
+            assert p.order == sum(map(len, ref.blocks))
+            assert p.support() == frozenset().union(*ref.blocks)
+            assert len(p) == len(ref.blocks)
+            assert repr(p) == ref.repr()
+            assert partition_to_text(p) == ref.text()
+            assert text_to_partition(ref.text()) == p
+            kept = [b for b in ref.blocks if len(b) >= 2]
+            assert normalize_partition(p).blocks == SetPartition(kept).blocks
+            assert normalize_partition(blocks) == VertexPartition(kept)
+            assert identify_partition(g, p) == ref.identify(g)
+
+    def test_equality_ignores_block_and_vertex_order(self):
+        rng = random.Random(72)
+        for _ in range(300):
+            blocks = random_blocks(rng, 71)
+            shuffled = [rng.sample(b, len(b)) for b in blocks]
+            rng.shuffle(shuffled)
+            p, q = VertexPartition(blocks), VertexPartition(shuffled)
+            assert p == q and hash(p) == hash(q)
+            if blocks:
+                assert p != VertexPartition(blocks[1:])
+
+    def test_out_of_graph_vertex_message(self):
+        # the first block in order that leaves the graph names its lowest
+        # vertex outside it
+        p = VertexPartition([[9, 1, 70], [0, 66, 65], [2, 3]])
+        with pytest.raises(InvalidBlockError, match="^block vertex 65 not in graph on 64 vertices$"):
+            identify_partition(Graph(64), p)
 
 
 class TestIdentifyPartition:

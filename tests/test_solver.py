@@ -141,6 +141,25 @@ class TestKeptResults:
             tracemalloc.stop()
         assert per_result < 4096
 
+    def test_certificates_alone_stay_small(self):
+        # A certificate holds its value, its block masks and a reference to
+        # the input graph, so past the graph it keeps a few ints (455 B per
+        # 64-vertex certificate when blocks were stored as sorted tuples).
+        rng = random.Random(7)
+        graphs = [Graph(64, [e for e in itertools.combinations(range(64), 2)
+                             if rng.random() < 0.06]) for _ in range(6)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [idf_exact(g) for g in graphs]
+            gc.collect()
+            per_result = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert all(cert.partition.order == cert.value > 0 for cert in kept)
+        assert per_result < 256
+
 
 class TestDecision:
     def test_examples(self):

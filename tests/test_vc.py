@@ -8,7 +8,7 @@ import itertools
 import random
 
 import pytest
-from conftest import brute_lp_value, complete_bipartite_graph, graphs_up_to, random_graph
+from conftest import brute_lp_value, complete_bipartite_graph, graphs_up_to, prism, random_graph
 
 from idforest import vc
 from idforest import (Graph, KernelInstance, SizeLimitError,
@@ -222,8 +222,39 @@ class TestExactCover:
 
     def test_size_guard(self):
         assert vc_exact(path_graph(64)).value == 32
+        # the guard is on the half-valued components that would branch
+        assert vc_exact(Graph(65)).value == 0
         with pytest.raises(SizeLimitError):
-            vc_exact(Graph(65))
+            vc_exact(prism(33))
+
+
+class TestGuardOnTheBranching:
+    """Above VC_MAX_VERTICES vertices `vc_exact` refuses only a half-valued
+    component of more than 64 vertices that is not a path or a cycle."""
+
+    def test_prism_is_one_half_valued_component(self):
+        g = prism(33)
+        assert lp_half_integral(g)[1] == frozenset(range(66))
+        with pytest.raises(SizeLimitError, match="one of 66 in a graph on 66"):
+            vc_exact(g)
+
+    def test_tree_plus_two_edges_is_solved(self):
+        rng = random.Random(200)
+        g = Graph(200, [(v, rng.randrange(v)) for v in range(1, 200)] + [(3, 150), (17, 90)])
+        sol = vc_exact(g)
+        assert sol.covers(g)
+        assert vc_decision(g, sol.value) and not vc_decision(g, sol.value - 1)
+
+    def test_long_cycles_are_solved_in_closed_form(self):
+        assert vc_exact(cycle_graph(65)).value == 33
+        assert vc_exact(cycle_graph(200)).value == 100
+        assert vc_exact(disjoint_union(cycle_graph(101), complete_graph(4))).value == 54
+
+    def test_small_components_of_a_large_graph_are_solved(self):
+        rng = random.Random(201)
+        parts = [random_graph(rng, 30, 0.2) for _ in range(4)]
+        value = sum(vc_exact(part).value for part in parts)
+        assert vc_exact(disjoint_union(*parts)).value == value
 
 
 def assert_matches_integer_program(rng: random.Random, sizes, p_low: float, p_high: float):
