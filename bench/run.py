@@ -42,8 +42,7 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   edges (seed 0) for each n in KERNEL_SIZES, and on DIAMONDS diamonds in a
   row.  k is the half-integral LP value of G's bridgeless core, rounded
   up, computed untimed: the cover kernel then keeps every half-valued
-  vertex that has a half-valued neighbour instead of deciding the instance
-  negative.  Each graph goes to a fresh interpreter, which times one
+  vertex instead of deciding the instance negative.  Each graph goes to a fresh interpreter, which times one
   `idf_kernel` call and reports its own peak RSS and the kernel's size,
   budget, forced vertices and verdict.
 - `solve`: `idf_exact` per n in SOLVE_SIZES (24..64), on seeded G(n, m)

@@ -23,15 +23,14 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, _edge_list, _neighbours, cycle_graph, disjoint_union,
-                    remove_bridges)
+from .graph import Graph, _bits, _edge_list, _neighbours, cycle_graph, disjoint_union
 from .identify import VertexPartition
 from .oracle import MinorModel, _connected_subsets
-from .solver import _split_cover
-from .vc import _cover_mask
+from .solver import idf_exact
 
 CYCLE_SEARCH_MAX = 16
 MARGUERITE_SEARCH_MAX = 12
@@ -179,7 +178,6 @@ def cycle_packing(g: Graph) -> list[list[int]]:
     _check_cycle_scale(g, "cycle_packing")
     adj = g.adj_masks
     edges = _edge_list(adj)
-    memo: dict[int, list[list[int]]] = {}
 
     def chordless_through(v: int, alive: int) -> list[list[int]]:
         out: list[list[int]] = []
@@ -207,23 +205,17 @@ def cycle_packing(g: Graph) -> list[list[int]]:
             walk([v, a], (1 << v) | (1 << a))
         return out
 
+    @cache  # dense graphs reach one alive mask by many routes
     def solve(alive: int) -> list[list[int]]:
-        if alive in memo:
-            return memo[alive]
         sc = _shortest_cycle(adj, edges, alive)
         if not sc:
-            memo[alive] = []
             return []
         v = min(sc)
         best = solve(alive & ~(1 << v))
         for cyc in chordless_through(v, alive):
-            cmask = 0
-            for x in cyc:
-                cmask |= 1 << x
-            cand = [cyc] + solve(alive & ~cmask)
+            cand = [cyc] + solve(alive & ~_mask(cyc))
             if len(cand) > len(best):
                 best = cand
-        memo[alive] = best
         return best
 
     return solve((1 << g.n) - 1)
@@ -461,6 +453,4 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
         model = marguerite_model(g, k)
         if model is not None:
             return DichotomyOutcome("marguerite", k, model, None)
-
-    core = remove_bridges(g)
-    return DichotomyOutcome(None, None, None, _split_cover(core, _cover_mask(core)))
+    return DichotomyOutcome(None, None, None, idf_exact(g).partition)

@@ -55,7 +55,7 @@ from .graphio import graph6_bytes, graph6_str, graph6_to_graph
 from .minors import gen_cycle, gen_marguerite, gen_triangles
 from .oracle import brute_minor
 from .solver import idf_exact
-from .vc import _vc_split, vc_exact
+from .vc import _at_most, vc_exact
 
 ENUMERATION_MAX_VERTICES = 9
 _CHUNK = 16
@@ -327,7 +327,7 @@ def _member(rows: list[int], kind: str, k: int) -> bool:
     """`vc_decision` or `idf_decision` on the graph with these rows."""
     if kind == "idf":
         rows = _core(rows)
-    return _vc_split(rows, (1 << len(rows)) - 1, k) is not None
+    return _at_most(rows, k)
 
 
 def _edge_minor_rows(rows: list[int]) -> Iterator[list[int]]:
@@ -398,12 +398,14 @@ def _scan(kind: str, k: int, max_n: int, *, workers: int,
     """Minor-minimal non-members on up to max_n vertices, grown from members
     only: both predicates are minor-closed, and a canonical child's parent is
     a proper minor of it, so every minimal non-member has a member parent.
-    Checkpoint files are named `scan-{kind}-k{k}-n{n}.*.g6` (see `_grow`)."""
+    Each found line is the graph6 code of a canonical labelling, so sorting
+    the lines sorts the graphs by canonical form.  Checkpoint files are
+    named `scan-{kind}-k{k}-n{n}.*.g6` (see `_grow`)."""
     stem = None if checkpoint_dir is None else os.path.join(checkpoint_dir,
                                                              f"scan-{kind}-k{k}")
     _, found = _grow(partial(_classify, kind=kind, k=k), max_n,
                      min_degree=_LAST_MIN_DEGREE[kind], workers=workers, stem=stem)
-    return tuple(sorted(map(graph6_to_graph, found), key=canonical_form))
+    return tuple(map(graph6_to_graph, sorted(found)))
 
 
 def _check_budget(k: int, long_run: bool):
@@ -465,82 +467,55 @@ def _has_spanning_copy(g: Graph, h: Graph) -> bool:
                for rows in _spanning_rows(g, h.m))
 
 
+def _spanning_failures(g: Graph, vc_obstructions: Iterable[Graph]) -> list[tuple[str, str]]:
+    """Check f's failures on an identification obstruction g of value k+1:
+    no cover obstruction is a minor of g, or one that is has no spanning copy."""
+    minors_of_g = [h for h in vc_obstructions if brute_minor(h, g) is not None]
+    if not minors_of_g:
+        return [(graph6_str(g), "no cover obstruction is a minor")]
+    return [(graph6_str(g), f"no edge set deletes down to {graph6_str(h)}")
+            for h in minors_of_g if not _has_spanning_copy(g, h)]
+
+
 def verify_section4(vc_report: ObstructionReport,
                     idf_report: ObstructionReport) -> dict[str, CheckResult]:
     """Evaluate the structural cross-checks tying a cover report and an
-    identification report of one budget together.  Failures come back as
-    report entries, never exceptions; reports of another kind or of two
-    budgets raise ValueError."""
+    identification report of one budget together.  Each check lists the
+    members that violate it; it passes when the list is empty.  Failures
+    come back as report entries, never exceptions; reports of another kind
+    or of two budgets raise ValueError."""
     if (vc_report.kind, idf_report.kind) != ("vc", "idf") or vc_report.k != idf_report.k:
         raise ValueError(
             "need a vc report and an idf report of one budget, got "
             f"{vc_report.kind} k={vc_report.k} and {idf_report.kind} k={idf_report.k}")
     k = vc_report.k
-    vc_values = [vc_exact(g).value for g in vc_report.obstructions]
-    idf_values = [idf_exact(g).value for g in idf_report.obstructions]
-    checks: dict[str, CheckResult] = {}
-
-    bad = [graph6_str(g) for g in idf_report.obstructions if bridges(g)]
-    checks["a_bridgeless"] = CheckResult(
-        not bad, "every member bridgeless" if not bad else f"bridged members: {bad}")
-
-    idf_forms = {canonical_form(g) for g in idf_report.obstructions}
-    missing = [graph6_str(g) for g in vc_report.obstructions
-               if not bridges(g) and canonical_form(g) not in idf_forms]
-    checks["b_bridgeless_vc_members"] = CheckResult(
-        not missing,
-        "bridgeless cover obstructions all present" if not missing
-        else f"absent: {missing}")
-
-    not2conn = []
-    for g in vc_report.obstructions:
-        for comp in connected_components(g):
-            piece, _ = induced_subgraph(g, comp)
-            if not is_2_connected(piece):
-                not2conn.append(graph6_str(g))
-                break
-    checks["c_components_2_connected"] = CheckResult(
-        not not2conn,
-        "every component 2-connected" if not not2conn else f"violations: {not2conn}")
-
-    wrong = [(graph6_str(g), value)
-             for g, value in zip(vc_report.obstructions, vc_values) if value != k + 1]
-    checks["d_vc_value_exact"] = CheckResult(
-        not wrong, f"all cover values equal {k + 1}" if not wrong
-        else f"off-value members: {wrong}")
-
-    out_of_band = [(graph6_str(g), value)
-                   for g, value in zip(idf_report.obstructions, idf_values)
-                   if not k + 1 <= value <= k + 2]
-    checks["e_idf_value_window"] = CheckResult(
-        not out_of_band, f"all values in [{k + 1}, {k + 2}]" if not out_of_band
-        else f"out of window: {out_of_band}")
-
-    f_failures = []
-    f_examined = 0
-    for g, value in zip(idf_report.obstructions, idf_values):
-        if value != k + 1:
-            continue
-        f_examined += 1
-        minors_of_g = [h for h in vc_report.obstructions
-                       if brute_minor(h, g) is not None]
-        if not minors_of_g:
-            f_failures.append((graph6_str(g), "no cover obstruction is a minor"))
-            continue
-        for h in minors_of_g:
-            if not _has_spanning_copy(g, h):
-                f_failures.append((graph6_str(g),
-                                   f"no edge set deletes down to {graph6_str(h)}"))
-    checks["f_spanning_vc_obstruction"] = CheckResult(
-        not f_failures,
-        f"checked {f_examined} members of value {k + 1}" if not f_failures
-        else f"failures: {f_failures}")
-
-    oversized = [graph6_str(g) for g in idf_report.obstructions if g.n > 2 * k + 4]
-    checks["g_size_bound"] = CheckResult(
-        not oversized, f"all members within {2 * k + 4} vertices" if not oversized
-        else f"oversized: {oversized}")
-    return checks
+    vcs, idfs = vc_report.obstructions, idf_report.obstructions
+    vc_values = [vc_exact(g).value for g in vcs]
+    idf_values = [idf_exact(g).value for g in idfs]
+    idf_forms = {canonical_form(g) for g in idfs}
+    examined = [g for g, value in zip(idfs, idf_values) if value == k + 1]
+    checks = [
+        ("a_bridgeless", "every member bridgeless", "bridged members",
+         [graph6_str(g) for g in idfs if bridges(g)]),
+        ("b_bridgeless_vc_members", "bridgeless cover obstructions all present", "absent",
+         [graph6_str(g) for g in vcs
+          if not bridges(g) and canonical_form(g) not in idf_forms]),
+        ("c_components_2_connected", "every component 2-connected", "violations",
+         [graph6_str(g) for g in vcs
+          if not all(is_2_connected(induced_subgraph(g, comp)[0])
+                     for comp in connected_components(g))]),
+        ("d_vc_value_exact", f"all cover values equal {k + 1}", "off-value members",
+         [(graph6_str(g), value) for g, value in zip(vcs, vc_values) if value != k + 1]),
+        ("e_idf_value_window", f"all values in [{k + 1}, {k + 2}]", "out of window",
+         [(graph6_str(g), value) for g, value in zip(idfs, idf_values)
+          if not k + 1 <= value <= k + 2]),
+        ("f_spanning_vc_obstruction", f"checked {len(examined)} members of value {k + 1}",
+         "failures", [failure for g in examined for failure in _spanning_failures(g, vcs)]),
+        ("g_size_bound", f"all members within {2 * k + 4} vertices", "oversized",
+         [graph6_str(g) for g in idfs if g.n > 2 * k + 4]),
+    ]
+    return {name: CheckResult(not bad, f"{label}: {bad}" if bad else ok)
+            for name, ok, label, bad in checks}
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import json
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, bridges, components, remove_bridges, with_new_vertex
+from .graph import Graph, _core, bridges, components, remove_bridges, with_new_vertex
 from .graphio import graph6_str
 from .identify import VertexPartition, identify_partition
-from .vc import KernelInstance, _cover_mask, nt_kernel, vc_decision
+from .vc import KernelInstance, _at_most, _min_cover, nt_kernel
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,25 +53,25 @@ def partition_from_cover(g: Graph, cover: Iterable[int]) -> VertexPartition:
     bridge, so re-adding bridges cannot close a cycle.  Labels outside g
     are ignored.
     """
-    return _split_cover(remove_bridges(g), sum(1 << v for v in set(cover) if 0 <= v < g.n))
+    return _split_cover(_core(g.adj_masks), sum(1 << v for v in set(cover) if 0 <= v < g.n))
 
 
-def _split_cover(core: Graph, cover: int) -> VertexPartition:
-    """`partition_from_cover` on the bridgeless core, for a cover mask."""
-    blocks = (comp & cover for comp in components(core.adj_masks, (1 << core.n) - 1))
+def _split_cover(core: list[int], cover: int) -> VertexPartition:
+    """`partition_from_cover` on the bridgeless core's rows, for a cover mask."""
+    blocks = (comp & cover for comp in components(core, (1 << len(core)) - 1))
     return VertexPartition._from_masks(b for b in blocks if b.bit_count() >= 2)
 
 
 def idf_exact(g: Graph) -> IdfCertificate:
     """Minimum identification order with a witness partition."""
-    core = remove_bridges(g)
-    cover = _cover_mask(core)
+    core = _core(g.adj_masks)
+    cover = _min_cover(core)
     return IdfCertificate(value=cover.bit_count(), partition=_split_cover(core, cover), graph=g)
 
 
 def idf_decision(g: Graph, k: int) -> bool:
     """True iff idf(g) <= k."""
-    return vc_decision(remove_bridges(g), k)
+    return _at_most(_core(g.adj_masks), k)
 
 
 def apex_bridgeless(g: Graph) -> tuple[Graph, int]:

@@ -2,9 +2,10 @@
 
 The workhorse is the half-integral relaxation: an optimal {0, 1/2, 1}
 solution is read off a minimum vertex cover of the bipartite double cover
-(maximum matching + alternating-path argument).  The (V0, V1/2, V1) split
-drives both the 2k-vertex kernel and the preprocessing of the exact
-branching solver.
+(maximum matching + alternating-path argument).  Every caller goes
+through three private functions on adjacency rows: the (V0, V1/2, V1)
+split `_lp_split`, the minimum cover `_min_cover` and the budget decision
+`_at_most`.  The split also gives the 2k-vertex kernel.
 
 Its value |V1| + |V1/2|/2 is also the branching's lower bound (Nemhauser
 and Trotter, 1975): a component is cut as soon as a matching of its double
@@ -16,7 +17,7 @@ cover within the cap; covers and tie-breaks are the same as without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import SizeLimitError
 from .graph import Graph, _bits, components, induced_subgraph
@@ -54,7 +55,7 @@ class KernelInstance:
 # ---------------------------------------------------------------------------
 # half-integral relaxation via the bipartite double cover
 
-def _augment(adj: tuple[int, ...], alive: int, mate: dict, u: int) -> bool:
+def _augment(adj: Sequence[int], alive: int, mate: dict, u: int) -> bool:
     """Grow `mate` by an alternating path from the unmatched left vertex u.
 
     The bipartite double cover of the subgraph the mask `alive` induces has
@@ -84,22 +85,24 @@ def _augment(adj: tuple[int, ...], alive: int, mate: dict, u: int) -> bool:
             return False
 
 
-def _double_cover_min_cover(g: Graph) -> tuple[int, int]:
-    """Minimum vertex cover of the bipartite double cover (König).
+def _lp_split(adj: Sequence[int]) -> tuple[int, int]:
+    """The optimal half-integral relaxation of the graph with these rows, as
+    the vertex masks (V1, Vhalf); every other vertex is in V0.
 
-    Returns (left_cover, right_cover) as vertex masks: a maximum matching,
-    then the left vertices not reachable by alternating paths from the
-    unmatched ones, and the right copies that are.  Those reachable sets are
-    the same for every maximum matching, so the matching is seeded
-    greedily (each left vertex in turn takes its lowest free right copy)
-    and augmented only from the left vertices the seeding leaves unmatched.
+    It is read off a minimum vertex cover of the bipartite double cover
+    (König): a maximum matching, then the left vertices not reachable by
+    alternating paths from the unmatched ones, and the right copies that
+    are.  A vertex is in V1 when both its copies are in that cover, and in
+    Vhalf when one is.  Those reachable sets are the same for every maximum
+    matching, so the matching is seeded greedily (each left vertex in turn
+    takes its lowest free right copy) and augmented only from the left
+    vertices the seeding leaves unmatched.
     """
-    adj = g.adj_masks
-    alive = (1 << g.n) - 1
+    alive = (1 << len(adj)) - 1
     mate: dict[int, int] = {}
     taken = unseeded = 0  # matched right copies; left vertices left unmatched
-    for u in range(g.n):
-        if cand := adj[u] & ~taken:
+    for u, row in enumerate(adj):
+        if cand := row & ~taken:
             low = cand & -cand
             taken |= low
             mate[low.bit_length() - 1] = u
@@ -119,43 +122,41 @@ def _double_cover_min_cover(g: Graph) -> tuple[int, int]:
             frontier |= 1 << mate[w]  # matched, or the matching was not maximum
         frontier &= ~left_z
         left_z |= frontier
-    return alive & ~left_z, right_z
+    left = alive & ~left_z
+    return left & right_z, left ^ right_z
 
 
 def lp_half_integral(g: Graph) -> tuple[frozenset, frozenset, frozenset]:
     """Optimal half-integral relaxation as (V0, Vhalf, V1)."""
-    left, right = _double_cover_min_cover(g)
-    v1 = frozenset(_bits(left & right))
-    v0 = frozenset(_bits((1 << g.n) - 1 & ~(left | right)))
-    vhalf = frozenset(_bits(left ^ right))
-    return v0, vhalf, v1
+    v1, half = _lp_split(g.adj_masks)
+    v0 = (1 << g.n) - 1 & ~(v1 | half)
+    return frozenset(_bits(v0)), frozenset(_bits(half)), frozenset(_bits(v1))
 
 
 def nt_kernel(g: Graph, k: int) -> KernelInstance:
     """Crown-style kernel from the half-integral split.
 
     The V1 vertices are forced into the cover, V0 is discarded, and the
-    half-valued vertices survive except those with no half-valued
-    neighbour, which no cover needs.  A run that is already decided negative
-    (budget overdrawn, or more than 2*budget surviving vertices) returns
-    a single edge with budget 0 and `decided_no` set.
+    half-valued vertices survive.  Each of them has a half-valued
+    neighbour: one with only V1 neighbours could drop to 0 and leave a
+    cheaper LP solution.  A run that is already decided negative (budget
+    overdrawn, or more than 2*budget half-valued vertices) returns a single
+    edge with budget 0 and `decided_no` set.
     """
     if k < 0:
         raise ValueError(f"budget must be non-negative, got {k}")
-    left, right = _double_cover_min_cover(g)
-    v1, half = left & right, left ^ right
+    v1, half = _lp_split(g.adj_masks)
     budget = k - v1.bit_count()
-    adj = g.adj_masks
-    sub, origin = induced_subgraph(g, [v for v in _bits(half) if adj[v] & half])
-    if budget < 0 or sub.n > 2 * budget:
+    if half.bit_count() > 2 * budget:
         return KernelInstance(Graph(2, [(0, 1)]), 0, frozenset(), {}, True)
+    sub, origin = induced_subgraph(g, _bits(half))
     return KernelInstance(sub, budget, frozenset(_bits(v1)), dict(enumerate(origin)), False)
 
 
 # ---------------------------------------------------------------------------
 # exact solver
 
-def _path_cycle_cover(adj: tuple[int, ...], comp: int) -> int:
+def _path_cycle_cover(adj: Sequence[int], comp: int) -> int:
     """Minimum cover of a component with max degree <= 2 (path or cycle)."""
     ends = [v for v in _bits(comp) if (adj[v] & comp).bit_count() <= 1]
     start = ends[0] if ends else (comp & -comp).bit_length() - 1
@@ -174,7 +175,7 @@ def _path_cycle_cover(adj: tuple[int, ...], comp: int) -> int:
     return sum(1 << v for v in picked)
 
 
-def _lp_exceeds(adj: tuple[int, ...], comp: int, mate: dict, free: int, cap: int) -> bool:
+def _lp_exceeds(adj: Sequence[int], comp: int, mate: dict, free: int, cap: int) -> bool:
     """True iff the half-integral LP value of the component mask comp exceeds cap.
 
     That value is half the size of a maximum matching of comp's double cover
@@ -193,7 +194,7 @@ def _lp_exceeds(adj: tuple[int, ...], comp: int, mate: dict, free: int, cap: int
     return need <= 0
 
 
-def _vc_component(adj: tuple[int, ...], comp: int, best_cap: int) -> int | None:
+def _vc_component(adj: Sequence[int], comp: int, best_cap: int) -> int | None:
     """Minimum cover of the component mask comp, or None if it must exceed best_cap.
 
     One ascending pass over comp finds the smallest vertex of maximum degree
@@ -241,7 +242,7 @@ def _vc_component(adj: tuple[int, ...], comp: int, best_cap: int) -> int | None:
     return best
 
 
-def _vc_split(adj: tuple[int, ...], alive: int, cap: int) -> int | None:
+def _vc_split(adj: Sequence[int], alive: int, cap: int) -> int | None:
     """Minimum cover of the subgraph the mask alive induces, as a mask, if
     its size is <= cap, else None."""
     if cap < 0:
@@ -275,35 +276,40 @@ def vc_exact(g: Graph) -> VcSolution:
     VC_MAX_VERTICES vertices and a vertex of degree above 2 in it raises
     SizeLimitError, and any larger graph whose components pass is solved.
     """
-    cover = frozenset(_bits(_cover_mask(g)))
+    cover = frozenset(_bits(_min_cover(g.adj_masks)))
     return VcSolution(value=len(cover), cover=cover)
 
 
-def _cover_mask(g: Graph) -> int:
-    """`vc_exact`'s cover as a vertex mask."""
-    left, right = _double_cover_min_cover(g)
-    half = left ^ right
-    adj = g.adj_masks
-    if g.n > VC_MAX_VERTICES:
+def _min_cover(adj: Sequence[int]) -> int:
+    """`vc_exact`'s cover of the graph with these rows, as a vertex mask."""
+    v1, half = _lp_split(adj)
+    if len(adj) > VC_MAX_VERTICES:
         for comp in components(adj, half):
             if comp.bit_count() > VC_MAX_VERTICES and any(
                     (adj[v] & comp).bit_count() > 2 for v in _bits(comp)):
                 raise SizeLimitError(
                     f"vc_exact branches on components of up to {VC_MAX_VERTICES} "
-                    f"vertices, got one of {comp.bit_count()} in a graph on {g.n}")
+                    f"vertices, got one of {comp.bit_count()} in a graph on {len(adj)}")
     sol = _vc_split(adj, half, half.bit_count())
     assert sol is not None
-    return left & right | sol
+    return v1 | sol
+
+
+def _at_most(adj: Sequence[int], k: int) -> bool:
+    """True iff the graph with these rows has a vertex cover of size at most
+    k, which must be >= 0: one branching call with cap k, with the LP cut at
+    every component.  Above VC_MAX_VERTICES vertices the call runs on Vhalf
+    with cap k - |V1|, which is `nt_kernel`'s kernel in the original labels,
+    so it has at most 2k vertices; there is no size limit."""
+    if k < 0:
+        raise ValueError(f"budget must be non-negative, got {k}")
+    if len(adj) <= VC_MAX_VERTICES:
+        return _vc_split(adj, (1 << len(adj)) - 1, k) is not None
+    v1, half = _lp_split(adj)
+    cap = k - v1.bit_count()
+    return half.bit_count() <= 2 * cap and _vc_split(adj, half, cap) is not None
 
 
 def vc_decision(g: Graph, k: int) -> bool:
-    """True iff g has a vertex cover of size at most k: one branching call
-    with cap k, with the LP cut at every component.  Above VC_MAX_VERTICES
-    vertices the call runs on the `nt_kernel` kernel, which has at most 2k
-    vertices; there is no size limit."""
-    if k < 0:
-        raise ValueError(f"budget must be non-negative, got {k}")
-    if g.n > VC_MAX_VERTICES:
-        ki = nt_kernel(g, k)
-        g, k = ki.graph, ki.budget
-    return _vc_split(g.adj_masks, (1 << g.n) - 1, k) is not None
+    """True iff g has a vertex cover of size at most k."""
+    return _at_most(g.adj_masks, k)

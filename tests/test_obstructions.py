@@ -307,6 +307,13 @@ class TestObstructionScans:
         # the shorter scan reads its last level back from the found file
         assert scan(n, checkpoint_dir=str(tmp_path)) == shorter
 
+    @pytest.mark.parametrize("scan", [obs_vc, obs_idf])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_obstructions_are_canonical_and_in_canonical_form_order(self, scan, k):
+        found = scan(k).obstructions
+        assert all(canonical_graph(g) == g for g in found)
+        assert list(found) == sorted(found, key=canonical_form)
+
     def test_reports_serialize(self):
         payload = obs_vc(1).as_json_dict()
         assert payload["kind"] == "vc" and payload["k"] == 1
@@ -571,6 +578,51 @@ class TestVerification:
         checks = verify_section4(wrong, obs_idf(1))
         assert [name for name, c in checks.items() if not c.passed] == ["d_vc_value_exact"]
         assert checks["d_vc_value_exact"].detail == "off-value members: [('A_', 1)]"
+
+    BOWTIE = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+
+    @pytest.mark.parametrize("vc_graphs,idf_graphs,expected", [
+        # every check fails; C4 has value 2 and neither K4 nor the bowtie as a minor
+        ((complete_graph(4), BOWTIE), (complete_graph(2), cycle_graph(4), cycle_graph(7)), {
+            "a_bridgeless": (False, "bridged members: ['A_']"),
+            "b_bridgeless_vc_members": (False, "absent: ['C~', 'DxK']"),
+            "c_components_2_connected": (False, "violations: ['DxK']"),
+            "d_vc_value_exact": (False, "off-value members: [('C~', 3), ('DxK', 3)]"),
+            "e_idf_value_window": (False, "out of window: [('A_', 0), ('FhCKG', 4)]"),
+            "f_spanning_vc_obstruction": (
+                False, "failures: [('Cl', 'no cover obstruction is a minor')]"),
+            "g_size_bound": (False, "oversized: ['FhCKG']"),
+        }),
+        # K3 is a minor of C4 but no spanning subgraph of it
+        ((complete_graph(3),), (cycle_graph(4),), {
+            "a_bridgeless": (True, "every member bridgeless"),
+            "b_bridgeless_vc_members": (False, "absent: ['Bw']"),
+            "c_components_2_connected": (True, "every component 2-connected"),
+            "d_vc_value_exact": (True, "all cover values equal 2"),
+            "e_idf_value_window": (True, "all values in [2, 3]"),
+            "f_spanning_vc_obstruction": (
+                False, "failures: [('Cl', 'no edge set deletes down to Bw')]"),
+            "g_size_bound": (True, "all members within 6 vertices"),
+        }),
+        (None, None, {
+            "a_bridgeless": (True, "every member bridgeless"),
+            "b_bridgeless_vc_members": (True, "bridgeless cover obstructions all present"),
+            "c_components_2_connected": (True, "every component 2-connected"),
+            "d_vc_value_exact": (True, "all cover values equal 2"),
+            "e_idf_value_window": (True, "all values in [2, 3]"),
+            "f_spanning_vc_obstruction": (True, "checked 1 members of value 2"),
+            "g_size_bound": (True, "all members within 6 vertices"),
+        }),
+    ], ids=["all_fail", "no_spanning_copy", "scanned"])
+    def test_check_details_are_pinned(self, vc_graphs, idf_graphs, expected):
+        # reports built by hand at k = 1; None takes the scanned report
+        vc_report = obs_vc(1) if vc_graphs is None else \
+            obstructions.ObstructionReport("vc", 1, vc_graphs)
+        idf_report = obs_idf(1) if idf_graphs is None else \
+            obstructions.ObstructionReport("idf", 1, idf_graphs)
+        checks = verify_section4(vc_report, idf_report)
+        assert list(checks) == sorted(CHECK_NAMES)
+        assert {name: (c.passed, c.detail) for name, c in checks.items()} == expected
 
     def test_spanning_copies_are_padded_with_isolated_vertices(self):
         assert obstructions._has_spanning_copy(complete_graph(3), complete_graph(2))

@@ -82,8 +82,9 @@ class TestHalfIntegralRelaxation:
 
 
 def unseeded_min_cover(g: Graph) -> tuple[int, int]:
-    """`vc._double_cover_min_cover` without the greedy seeding: augment from
-    every left vertex, starting from the empty matching."""
+    """The double cover's minimum cover (left copies, right copies) that
+    `vc._lp_split` reads, without the greedy seeding: augment from every
+    left vertex, starting from the empty matching."""
     adj = g.adj_masks
     alive = (1 << g.n) - 1
     mate: dict[int, int] = {}
@@ -106,6 +107,15 @@ def unseeded_min_cover(g: Graph) -> tuple[int, int]:
     return alive & ~left_z, right_z
 
 
+def assert_split_matches_unseeded(g: Graph):
+    left, right = unseeded_min_cover(g)
+    v1, half = vc._lp_split(g.adj_masks)
+    assert (v1, half) == (left & right, left ^ right)
+    # every half-valued vertex has a half-valued neighbour, so `nt_kernel`
+    # keeps all of them
+    assert all(g.adj_masks[v] & half for v in range(g.n) if half >> v & 1)
+
+
 class TestSeededMatchingTwin:
     # The alternating-reach sets, and so the cover masks, are the same for
     # every maximum matching; a greedy seed must not change them.
@@ -113,20 +123,20 @@ class TestSeededMatchingTwin:
         rng = random.Random(1975)
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 12), rng.uniform(0.1, 0.7))
-            assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+            assert_split_matches_unseeded(g)
 
     def test_sparse_graphs(self):
         rng = random.Random(1973)
         for n in range(65, 301, 47):
             for _ in range(3):
                 g = random_graph(rng, n, rng.uniform(1, 4) / n)
-                assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+                assert_split_matches_unseeded(g)
 
     def test_diamond_chain(self):
         # hubs 3i, tips 3i+1 and 3i+2 joined to hubs 3i and 3i+3
         g = Graph(601, [(3 * i + h, 3 * i + t)
                         for i in range(200) for t in (1, 2) for h in (0, 3)])
-        assert vc._double_cover_min_cover(g) == unseeded_min_cover(g)
+        assert_split_matches_unseeded(g)
 
 
 class TestCoverKernel:
@@ -356,28 +366,29 @@ class TestCoverDecision:
 
 class TestCoverDecisionWhereTheBranchingRuns:
     """The direct decision against `vc_exact` at n = 20..64, past brute_vc's
-    reach, and the kernel path above VC_MAX_VERTICES."""
+    reach, and the kernel path above VC_MAX_VERTICES: one LP split, then
+    the branching on its half-valued vertices."""
 
     @staticmethod
-    def count_kernels(monkeypatch) -> list:
+    def count_splits(monkeypatch) -> list:
         sizes = []
-        inner = vc.nt_kernel
+        inner = vc._lp_split
 
-        def counted(g, k):
-            sizes.append(g.n)
-            return inner(g, k)
+        def counted(adj):
+            sizes.append(len(adj))
+            return inner(adj)
 
-        monkeypatch.setattr(vc, "nt_kernel", counted)
+        monkeypatch.setattr(vc, "_lp_split", counted)
         return sizes
 
     def test_agrees_with_exact_value(self, monkeypatch):
-        sizes = self.count_kernels(monkeypatch)
         rng = random.Random(2064)
-        for n in range(20, 65, 4):
-            g = random_graph(rng, n, rng.uniform(0.08, 0.3))
-            value = vc_exact(g).value
-            assert not vc_decision(g, value - 1), f"n={n}"
-            assert vc_decision(g, value), f"n={n}"
+        graphs = [random_graph(rng, n, rng.uniform(0.08, 0.3)) for n in range(20, 65, 4)]
+        values = [vc_exact(g).value for g in graphs]
+        sizes = self.count_splits(monkeypatch)
+        for g, value in zip(graphs, values):
+            assert not vc_decision(g, value - 1), f"n={g.n}"
+            assert vc_decision(g, value), f"n={g.n}"
         assert sizes == []
 
     def test_larger_graphs_go_through_the_kernel(self, monkeypatch):
@@ -386,7 +397,7 @@ class TestCoverDecisionWhereTheBranchingRuns:
         part = random_graph(random.Random(2065), 20, 0.2)
         g = disjoint_union(*[star(10)] * 5, part)
         value = 5 + vc_exact(part).value
-        sizes = self.count_kernels(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
         assert not vc_decision(g, value - 1)
         assert vc_decision(g, value)
         assert sizes == [75, 75]
@@ -396,7 +407,79 @@ class TestCoverDecisionWhereTheBranchingRuns:
     def test_a_kernel_above_the_limit_is_decided(self, monkeypatch):
         # C101 is all half-valued, so at k = 51 its kernel is the whole cycle;
         # at k = 50 it has more than 2k vertices and is decided no
-        sizes = self.count_kernels(monkeypatch)
+        sizes = self.count_splits(monkeypatch)
         assert vc_decision(cycle_graph(101), 51)
         assert not vc_decision(cycle_graph(101), 50)
         assert sizes == [101, 101]
+
+
+def kernel_route(g: Graph, k: int) -> bool:
+    """The decision above VC_MAX_VERTICES by its first route: branch on
+    `nt_kernel`'s kernel, relabelled to 0..n'-1."""
+    ki = nt_kernel(g, k)
+    return vc._vc_split(ki.graph.adj_masks, (1 << ki.graph.n) - 1, ki.budget) is not None
+
+
+class TestDecisionAboveTheLimitTwin:
+    """Above VC_MAX_VERTICES `vc_decision` branches on the half-valued
+    vertices of g's own rows, and `kernel_route` on the relabelled kernel.
+    The relabelling keeps vertex order, so the answers agree, and so do the
+    branch nodes, except that a kernel decided "no" spends one node on its
+    single-edge stand-in where `vc_decision` spends none."""
+
+    @staticmethod
+    def assert_routes_agree(monkeypatch, g: Graph, k: int) -> bool:
+        nodes = []
+        inner = vc._vc_component
+
+        def counted(*args):
+            nodes.append(args[1].bit_count())
+            return inner(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vc, "_vc_component", counted)
+            got = vc_decision(g, k)
+            direct, nodes[:] = list(nodes), []
+            assert kernel_route(g, k) == got, (graph6_str(g), k)
+        if nt_kernel(g, k).decided_no:
+            assert not got and direct == [] and nodes == [2]
+        else:
+            assert direct == nodes
+        return got
+
+    def test_seeded_trees_plus_edges(self, monkeypatch):
+        rng = random.Random(6500)
+        decided = 0
+        for n in range(65, 201, 9):
+            for extra in (3, n // 10, n // 5):
+                edges = {(rng.randrange(v), v) for v in range(1, n)}
+                while len(edges) < n - 1 + extra:
+                    u, v = sorted(rng.sample(range(n), 2))
+                    edges.add((u, v))
+                g = Graph(n, edges)
+                try:
+                    value = vc_exact(g).value
+                except SizeLimitError:
+                    continue
+                assert not self.assert_routes_agree(monkeypatch, g, value - 1)
+                assert self.assert_routes_agree(monkeypatch, g, value)
+                decided += 1
+        assert decided >= 30
+
+    def test_unions_of_random_graphs(self, monkeypatch):
+        # the LP value falls a whole unit short of vc, so at k = vc - 1 the
+        # kernel is not decided and the "no" comes from the branching
+        rng = random.Random(6501)
+        for parts in (3, 4, 5):
+            for _ in range(4):
+                g = disjoint_union(*[random_graph(rng, rng.randint(18, 30),
+                                                  rng.uniform(0.1, 0.25))
+                                     for _ in range(parts)])
+                value = vc_exact(g).value
+                assert not nt_kernel(g, value - 1).decided_no
+                assert not self.assert_routes_agree(monkeypatch, g, value - 1)
+                assert self.assert_routes_agree(monkeypatch, g, value)
+
+    def test_long_odd_cycle(self, monkeypatch):
+        assert self.assert_routes_agree(monkeypatch, cycle_graph(101), 51)
+        assert not self.assert_routes_agree(monkeypatch, cycle_graph(101), 50)
