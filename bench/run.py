@@ -21,7 +21,11 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   hub-level enumeration yields it, and searched when the search goes on to
   place a petal next to it.  Both sides try the same hubs, since they stop
   at the same model; hubs cut are the hubs the parent searched and the
-  change did not.
+  change did not.  The `dichotomy` rows time `dichotomy` per k in
+  DICHOTOMY_K, on graphs 0..GRAPHS-1 of each cell (k, n) with n = 9..12
+  at k = 2 and n = 9..16 at k = 3, 4, summed over the graphs as above.
+  A separate untimed pass counts the `cycle_packing` and `longest_cycle`
+  calls it makes by wrapping them.
 - `enum`: canonical enumeration.  A run grows levels 0..4 untimed, then
   times each level n in LEVELS: one serial augmentation of every graph of
   level n - 1, read from and written back to graph6, through
@@ -146,10 +150,11 @@ def measure_vc() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# detect: the marguerite search on sparse graphs
+# detect: the marguerite search and the dichotomy on sparse graphs
 
 CELLS = tuple((k, n) for k in (2, 3) for n in range(9, 13))
 GRAPHS = 8
+DICHOTOMY_K = {2: range(9, 13), 3: range(9, 17), 4: range(9, 17)}
 
 
 def _sparse_edges(k: int, n: int, i: int) -> list[tuple[int, int]]:
@@ -193,7 +198,7 @@ def _count_hubs(g, k: int) -> tuple[int, int]:
 
 
 def measure_detect() -> dict:
-    from idforest import Graph, marguerite_model
+    from idforest import Graph, dichotomy, marguerite_model, minors
     cells = []
     for k, n in CELLS:
         ms, found, tried, searched = 0.0, 0, 0, 0
@@ -207,7 +212,22 @@ def measure_detect() -> dict:
             searched += s
         cells.append({"k": k, "n": n, "graphs": GRAPHS, "models_found": found,
                       "hubs_tried": tried, "hubs_searched": searched, "search_ms": ms})
-    return {"cells": cells}
+    rows = []
+    for k, sizes in DICHOTOMY_K.items():
+        ms, witnesses = 0.0, 0
+        counts = {"cycle_packing": 0, "longest_cycle": 0}
+        graphs = [(n, _sparse_edges(k, n, i)) for n in sizes for i in range(GRAPHS)]
+        for n, edges in graphs:
+            secs, outcome = _best_of(lambda: Graph(n, edges), lambda g: dichotomy(g, k))
+            ms += secs * 1e3
+            witnesses += outcome.is_witness
+            with _counting("cycle_packing", counts, minors), \
+                    _counting("longest_cycle", counts, minors):
+                dichotomy(Graph(n, edges), k)
+        rows.append({"k": k, "graphs": len(graphs), "witnesses": witnesses,
+                     "cycle_packing_calls": counts["cycle_packing"],
+                     "longest_cycle_calls": counts["longest_cycle"], "dichotomy_ms": ms})
+    return {"cells": cells, "dichotomy": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -360,31 +380,33 @@ def measure_solve() -> dict:
 
 class Layer(NamedTuple):
     measure: Callable[[], dict]  # one run: {section: row entry or list of them}
-    time_key: str  # the timed field of an entry
+    time_keys: tuple[str, ...]  # the timed field of an entry is the first of these it has
     ids: tuple[str, ...]  # the fields that name a row; the others are counters
     about: str
 
 
 LAYERS = {
-    "vc": Layer(measure_vc, "vc_exact_ms", ("n", "p", "seeds"),
+    "vc": Layer(measure_vc, ("vc_exact_ms",), ("n", "p", "seeds"),
                 f"vc_exact on G(n, p): median over seeds of the best of {REPEATS} "
                 "calls, branch nodes = _vc_component calls"),
-    "detect": Layer(measure_detect, "search_ms", ("k", "n", "graphs"),
+    "detect": Layer(measure_detect, ("search_ms", "dichotomy_ms"), ("k", "n", "graphs"),
                     f"marguerite search on {GRAPHS} trees plus 2..5 edges per (k, n) "
                     f"cell: sum over the cell of the best of {REPEATS} calls; hubs "
-                    "counted through _connected_subsets"),
-    "enum": Layer(measure_enum, "s", ("n",),
+                    "counted through _connected_subsets; dichotomy per k on the "
+                    f"same kind of graphs, {GRAPHS} an n, timed the same way, with "
+                    "its cycle_packing and longest_cycle calls"),
+    "enum": Layer(measure_enum, ("s",), ("n",),
                   "serial canonical augmentation of level n - 1 into level n, one "
                   "timed pass a run; sets = calls of the keep-all classifier, "
                   "searches = _search calls; census = idforest obstructions --k 2 in "
                   "the same interpreter, with its _search, _classify and nt_kernel "
                   "calls"),
-    "kernel": Layer(measure_kernel, "s", ("graph", "n", "m", "k"),
+    "kernel": Layer(measure_kernel, ("s",), ("graph", "n", "m", "k"),
                     "idf_kernel(G, k), k the LP value of G's bridgeless core rounded "
                     "up, one call in a fresh interpreter a run, on G with 2n random "
                     "edges and on a chain of diamonds; peak RSS is that interpreter's, "
                     "from each side's first run"),
-    "solve": Layer(measure_solve, "solve_ms", ("n", "graphs"),
+    "solve": Layer(measure_solve, ("solve_ms",), ("n", "graphs"),
                    f"idf_exact on G(n, m) with average degree {SOLVE_DEGREES[0]}.."
                    f"{SOLVE_DEGREES[-1]}, {len(SOLVE_SEEDS)} graphs a degree: sum over "
                    f"the graphs of the best of {REPEATS} calls; kept bytes = traced "
@@ -420,12 +442,13 @@ def _row(layer: Layer, runs: dict[str, list[dict]], pick) -> dict:
     """One row from the entry `pick` selects in every run of both sides."""
     entries = {side: [pick(r) for r in rs] for side, rs in runs.items()}
     first = {side: es[0] for side, es in entries.items()}
+    time_key = next(key for key in layer.time_keys if key in first["change"])
     row = {key: first["change"][key] for key in layer.ids if key in first["change"]}
     for key in first["change"]:
-        if key not in layer.ids and key != layer.time_key:
+        if key not in layer.ids and key != time_key:
             row[key] = {side: entry[key] for side, entry in first.items()}
-    times = {side: [e[layer.time_key] for e in es] for side, es in entries.items()}
-    row[layer.time_key] = {side: _summary(t) for side, t in times.items()}
+    times = {side: [e[time_key] for e in es] for side, es in entries.items()}
+    row[time_key] = {side: _summary(t) for side, t in times.items()}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     row["change_faster_pairs"] = f"{wins}/{PAIRS}"
     return row
@@ -453,7 +476,7 @@ def compare(label: str, parent: str) -> dict:
                  else [lambda r: r[section]])
         rows = [_row(layer, runs, pick) for pick in picks]
         for row in rows:
-            if label == "detect":
+            if "hubs_searched" in row:
                 row["hubs_cut"] = row["hubs_searched"]["parent"] - row["hubs_searched"]["change"]
             print(f"{section}: {_line(row)}")
         result[section] = rows if many else rows[0]

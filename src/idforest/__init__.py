@@ -13,7 +13,7 @@ independent brute-force oracles for every fast path.
 from .canon import (CANON_MAX_VERTICES, canonical_form, canonical_graph,
                     canonical_labeling, is_isomorphic)
 from .errors import (Graph6ParseError, InvalidBlockError, NotPresentError,
-                     SizeLimitError)
+                     SizeLimitError, WorkerLostError)
 from .graph import (Graph, bridges, complete_graph, connected_components,
                     cut_vertices, cycle_graph, delete_edge, delete_vertex,
                     disjoint_union, induced_subgraph, is_2_connected,
@@ -48,7 +48,7 @@ __all__ = [
     "BRUTE_IDF_MAX", "BRUTE_VC_MAX", "BRUTE_ECF_MAX_EDGES", "BRUTE_MINOR_MAX",
     "CYCLE_SEARCH_MAX", "MARGUERITE_SEARCH_MAX", "ENUMERATION_MAX_VERTICES",
     "Graph", "Graph6ParseError", "InvalidBlockError", "NotPresentError",
-    "SizeLimitError",
+    "SizeLimitError", "WorkerLostError",
     "VertexPartition", "IdfCertificate", "KernelInstance",
     "VcSolution", "EcfValue", "MinorModel", "DichotomyOutcome",
     "ObstructionReport", "CheckResult", "FamilyClaim",

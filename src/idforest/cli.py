@@ -7,7 +7,8 @@ catalog machinery, families prints the named generators, and oracle runs
 the brute-force reference implementations.
 
 Exit status: 0 on success, 1 on a negative decision (a no-instance or an
-invalid certificate), 2 on unusable input.
+invalid certificate), 2 on unusable input, 3 when a worker process of a
+parallel scan (`--workers` above 1) died.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .errors import WorkerLostError
 from .graph import Graph, is_forest
 from .graphio import edge_list_to_graph, graph6_str, graph6_to_graph
 from .identify import VertexPartition, _text_blocks, identify_partition
@@ -289,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerLostError as exc:
+        print(f"error: {exc}; the scan stopped and wrote no catalog", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

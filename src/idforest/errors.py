@@ -13,6 +13,11 @@ class InvalidBlockError(ValueError):
     """A partition block is empty, overlaps another block, or leaves the graph."""
 
 
+class WorkerLostError(RuntimeError):
+    """A worker process of a parallel scan died (killed, or out of memory)
+    before returning its chunk; the scan stops instead of waiting for it."""
+
+
 class Graph6ParseError(ValueError):
     """Malformed graph6 input.  `offset` is the byte position of the defect."""
 

@@ -247,6 +247,23 @@ def components(adj_masks: tuple[int, ...], alive: int) -> list[int]:
     return comps
 
 
+def _two_core(adj_masks: Sequence[int], alive: int) -> int:
+    """The 2-core of the subgraph that the vertex mask `alive` induces, as a
+    vertex mask: vertices of degree below 2 are peeled until none is left.
+    Every cycle lies inside it."""
+    core = alive
+    low = [v for v in _bits(alive) if (adj_masks[v] & alive).bit_count() < 2]
+    while low:
+        v = low.pop()
+        if not core >> v & 1:
+            continue  # queued twice, peeled once
+        core ^= 1 << v
+        for w in _bits(adj_masks[v] & core):
+            if (adj_masks[w] & core).bit_count() < 2:
+                low.append(w)
+    return core
+
+
 def connected_components(g: Graph) -> list[frozenset]:
     """Components as vertex sets, ordered by smallest member."""
     return [frozenset(_bits(c)) for c in components(g.adj_masks, (1 << g.n) - 1)]

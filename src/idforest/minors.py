@@ -21,13 +21,13 @@ only adjacency rows, and a witness packs its branch sets into one int.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 from .errors import SizeLimitError
-from .graph import Graph, _bits, _edge_list, _neighbours, cycle_graph, disjoint_union
+from .graph import (Graph, _bits, _edge_list, _neighbours, _two_core, components,
+                    cycle_graph, disjoint_union)
 from .identify import VertexPartition
 from .oracle import MinorModel, _connected_subsets
 from .solver import idf_exact
@@ -264,34 +264,6 @@ def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int,
     return found
 
 
-class _BranchSets(Mapping):
-    """Branch sets packed into one int: the set of pattern vertex p is the
-    vertex mask in bits p * width up to (p + 1) * width.  Branch sets are
-    never empty, so the last one ends the int."""
-
-    __slots__ = ("_packed", "_width")
-
-    def __init__(self, masks: Sequence[int], width: int):
-        packed = 0
-        for p, mask in enumerate(masks):
-            packed |= mask << p * width
-        self._packed, self._width = packed, width
-
-    def __getitem__(self, p: int) -> frozenset:
-        if not (isinstance(p, int) and 0 <= p < len(self)):
-            raise KeyError(p)
-        return frozenset(_bits(self._packed >> p * self._width & (1 << self._width) - 1))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self)))
-
-    def __len__(self) -> int:
-        return -(-self._packed.bit_length() // self._width)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-
 def marguerite_model(g: Graph, k: int) -> MinorModel | None:
     """A model of the k-petal marguerite in g, or None.  It is the model that
     its slow twin `brute_minor(gen_marguerite(k), g)` returns.
@@ -346,7 +318,7 @@ def marguerite_model(g: Graph, k: int) -> MinorModel | None:
 
     if not place(0, 0, 0):
         return None
-    return MinorModel(pattern=h, branch_sets=_BranchSets(sets, g.n))
+    return MinorModel._from_masks(h, sets, g.n)
 
 
 def max_marguerite(g: Graph) -> int:
@@ -394,7 +366,7 @@ def _cycle_model(cycle: list[int], k: int, n: int) -> MinorModel:
     """Model of C_k on a cycle of length >= k in a host on n vertices: k-1
     singleton arcs plus one long arc absorbing the slack."""
     masks = [1 << v for v in cycle[:k - 1]] + [_mask(cycle[k - 1:])]
-    return MinorModel(pattern=_PATTERNS["cycle"][k], branch_sets=_BranchSets(masks, n))
+    return MinorModel._from_masks(_PATTERNS["cycle"][k], masks, n)
 
 
 def _triangles_model(cycles: list[list[int]], k: int, n: int) -> MinorModel:
@@ -403,7 +375,7 @@ def _triangles_model(cycles: list[list[int]], k: int, n: int) -> MinorModel:
     masks = []
     for cyc in cycles[:k]:
         masks += [1 << cyc[0], 1 << cyc[1], _mask(cyc[2:])]
-    return MinorModel(pattern=_PATTERNS["triangles"][k], branch_sets=_BranchSets(masks, n))
+    return MinorModel._from_masks(_PATTERNS["triangles"][k], masks, n)
 
 
 def exact_fvs(g: Graph) -> frozenset:
@@ -436,16 +408,30 @@ def dichotomy(g: Graph, k: int) -> DichotomyOutcome:
     identification set of minimum order.
 
     Detector order: disjoint cycles first, then a single long cycle (only
-    meaningful for k >= 3), then the marguerite search.  The fallback is a
-    minimum vertex cover of the bridgeless core split per core component,
-    the partition `idf_exact` returns, so its order is exactly idf(g).
+    for k >= 3), then the marguerite search.  A detector that cannot reach
+    k is skipped, by counting on the 2-core, which holds every cycle: k
+    disjoint cycles need a cyclomatic number m - n + c of at least k and 3k
+    vertices in the 2-core, and a cycle of length k needs k of them.  A
+    skipped detector would have come up short, so the outcome is the same.
+
+    The fallback is a minimum vertex cover of the bridgeless core split per
+    core component, the partition `idf_exact` returns, so its order is
+    exactly idf(g).  The paper's witness guarantee ("idf large enough
+    forces a witness") holds from k = 3 on.  At k = 2 the long-cycle
+    detector does not run, and the odd cycle C_{2t+1}, with idf t + 1,
+    has neither two disjoint cycles nor a bowtie, so a k = 2 fallback
+    carries no theorem-level meaning.
     """
     if k < 1:
         raise ValueError(f"parameter must be >= 1, got {k}")
-    packing = cycle_packing(g)
-    if len(packing) >= k:
-        return DichotomyOutcome("triangles", k, _triangles_model(packing, k, g.n), None)
-    if k >= 3:
+    adj = g.adj_masks
+    full = (1 << g.n) - 1
+    core = _two_core(adj, full).bit_count()
+    if core >= 3 * k and g.m - g.n + len(components(adj, full)) >= k:
+        packing = cycle_packing(g)
+        if len(packing) >= k:
+            return DichotomyOutcome("triangles", k, _triangles_model(packing, k, g.n), None)
+    if k >= 3 and core >= k:
         cyc = longest_cycle(g)
         if len(cyc) >= k:
             return DichotomyOutcome("cycle", k, _cycle_model(cyc, k, g.n), None)

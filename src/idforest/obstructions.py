@@ -48,7 +48,7 @@ from functools import partial
 from itertools import combinations
 
 from .canon import _refine, _search, _twins, canonical_form
-from .errors import SizeLimitError
+from .errors import SizeLimitError, WorkerLostError
 from .graph import (Graph, _bits, _core, _relabel, bridges, connected_components,
                     delete_vertex, disjoint_union, induced_subgraph, is_2_connected)
 from .graphio import graph6_bytes, graph6_str, graph6_to_graph
@@ -180,13 +180,20 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
 
 def _pmap(fn: Callable, items: list, workers: int) -> Iterator:
     """fn over items, in order: serially when workers <= 1 or the list is
-    short, otherwise on one process pool."""
+    short, otherwise on one process pool.  A pool worker that dies raises
+    `WorkerLostError` at once, where a `multiprocessing.Pool` would wait
+    for its lost chunk for ever."""
     if workers <= 1 or len(items) < 2 * _CHUNK:
         yield from map(fn, items)
         return
-    import multiprocessing  # here, so that serial runs never pay for the import
-    with multiprocessing.Pool(workers) as pool:
-        yield from pool.imap(fn, items, chunksize=_CHUNK)
+    # here, so that serial runs never pay for the import
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    with ProcessPoolExecutor(workers) as pool:
+        try:
+            yield from pool.map(fn, items, chunksize=_CHUNK)
+        except BrokenProcessPool as exc:
+            raise WorkerLostError("a worker process died before returning its chunk") from exc
 
 
 def _replace_file(path: str, lines: Iterable[str]):

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import SizeLimitError
+from .errors import InvalidBlockError, SizeLimitError
 from .graph import Graph, _bits, _neighbours, components, induced_subgraph, is_forest
+from .graphio import GRAPH6_MAX_VERTICES
 from .identify import VertexPartition, identify_partition
 
 BRUTE_IDF_MAX = 9
@@ -114,32 +115,73 @@ def brute_ecf(g: Graph) -> EcfValue:
 # ---------------------------------------------------------------------------
 # minor testing by explicit branch-set models
 
-@dataclass(frozen=True, slots=True)
 class MinorModel:
     """A minor model: pairwise disjoint connected branch sets in the host,
-    one per pattern vertex, with every pattern edge realized by a host edge."""
+    one per pattern vertex, with every pattern edge realized by a host edge.
 
-    pattern: Graph
-    branch_sets: Mapping[int, frozenset]
+    The branch sets are stored only as vertex masks packed into one int:
+    the set of pattern vertex p is the mask in bits p * width up to
+    (p + 1) * width.  `branch_sets` builds the frozensets on each access.
+    A label is a bit position, so labels must lie in
+    0..GRAPH6_MAX_VERTICES.  A pattern vertex whose set is absent or None
+    gets the empty set, which never validates."""
+
+    __slots__ = ("pattern", "_packed", "_width")
+
+    def __init__(self, pattern: Graph, branch_sets: Mapping[int, Iterable[int]]):
+        masks = []
+        for p in range(pattern.n):
+            mask = 0
+            for v in branch_sets.get(p) or ():
+                if not 0 <= v <= GRAPH6_MAX_VERTICES:
+                    raise InvalidBlockError(
+                        f"branch set vertex {v} not in 0..{GRAPH6_MAX_VERTICES}")
+                mask |= 1 << v
+            masks.append(mask)
+        self._fill(pattern, masks, max(masks, default=0).bit_length())
+
+    @classmethod
+    def _from_masks(cls, pattern: Graph, masks: Sequence[int], width: int) -> MinorModel:
+        """The model of `pattern` whose branch set p is masks[p], a vertex
+        mask below 1 << width; unchecked."""
+        model = cls.__new__(cls)
+        model._fill(pattern, masks, width)
+        return model
+
+    def _fill(self, pattern: Graph, masks: Sequence[int], width: int):
+        packed = 0
+        for p, mask in enumerate(masks):
+            packed |= mask << p * width
+        self.pattern, self._packed, self._width = pattern, packed, width
+
+    def _masks(self) -> list[int]:
+        width = self._width
+        low = (1 << width) - 1
+        return [self._packed >> p * width & low for p in range(self.pattern.n)]
+
+    @property
+    def branch_sets(self) -> dict[int, frozenset]:
+        return {p: frozenset(_bits(mask)) for p, mask in enumerate(self._masks())}
 
     def validates_in(self, host: Graph) -> bool:
         adj = host.adj_masks
-        masks = []
+        masks = self._masks()
         used = 0
-        for p in range(self.pattern.n):
-            mask = 0
-            for v in self.branch_sets.get(p) or ():
-                if not 0 <= v < host.n:
-                    return False
-                mask |= 1 << v
-            if not mask or mask & used or components(adj, mask) != [mask]:
+        for mask in masks:
+            if not mask or mask >> host.n or mask & used or components(adj, mask) != [mask]:
                 return False
-            masks.append(mask)
             used |= mask
         return all(_neighbours(adj, masks[u]) & masks[v] for u, v in self.pattern.edges)
 
     def as_json_dict(self) -> dict:
-        return {"branch_sets": [sorted(self.branch_sets[v]) for v in range(self.pattern.n)]}
+        return {"branch_sets": [list(_bits(mask)) for mask in self._masks()]}
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, MinorModel) and self.pattern == other.pattern
+                and self._masks() == other._masks())
+
+    def __repr__(self) -> str:
+        return f"MinorModel(pattern={self.pattern!r}, branch_sets={self.branch_sets!r})"
 
 
 def _connected_subsets(adj: tuple[int, ...], allowed: int, max_size: int) -> Iterator[int]:
@@ -176,8 +218,6 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
         raise SizeLimitError(f"brute_minor supports hosts up to {BRUTE_MINOR_MAX} vertices, got {g.n}")
     if h.n > g.n or h.m > g.m:
         return None
-    if h.n == 0:
-        return MinorModel(h, {})
     adj = g.adj_masks
     pattern = h.adj_masks
     # assign big pattern components first, high degree vertices first inside them
@@ -213,5 +253,4 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
 
     if not place(0, 0):
         return None
-    sets = {p: frozenset(_bits(mask)) for p, mask in assignment.items()}
-    return MinorModel(pattern=h, branch_sets=sets)
+    return MinorModel._from_masks(h, [assignment[p] for p in range(h.n)], g.n)

@@ -34,7 +34,7 @@ def test_vc_worker_counts_branch_nodes():
 
 def test_detect_worker_counts_hubs():
     run = worker("detect")
-    assert list(run) == ["cells"]
+    assert list(run) == ["cells", "dichotomy"]
     assert len(run["cells"]) == 8
     for cell in run["cells"]:
         assert set(cell) == {"k", "n", "graphs", "models_found", "hubs_tried",
@@ -45,6 +45,16 @@ def test_detect_worker_counts_hubs():
         assert cell["hubs_searched"] >= cell["models_found"]
         assert cell["search_ms"] > 0
     assert sum(cell["models_found"] for cell in run["cells"]) > 0
+    # the dichotomy rows: one per k, each detector called at most once a
+    # graph, and the long cycle never at k = 2
+    assert [(row["k"], row["graphs"]) for row in run["dichotomy"]] == [(2, 32), (3, 64), (4, 64)]
+    for row in run["dichotomy"]:
+        assert set(row) == {"k", "graphs", "witnesses", "cycle_packing_calls",
+                            "longest_cycle_calls", "dichotomy_ms"}
+        assert row["cycle_packing_calls"] <= row["graphs"]
+        assert row["longest_cycle_calls"] <= row["graphs"]
+        assert row["witnesses"] > 0 and row["dichotomy_ms"] > 0
+    assert run["dichotomy"][0]["longest_cycle_calls"] == 0
 
 
 def test_enum_worker_counts_searches_and_classifications(monkeypatch):

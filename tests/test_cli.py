@@ -11,8 +11,8 @@ import sys
 import pytest
 from conftest import prism
 
-from idforest import (Graph, cycle_graph, edge_list_str, gen_marguerite, graph6_str,
-                      graph6_to_graph, is_isomorphic)
+from idforest import (Graph, WorkerLostError, cycle_graph, edge_list_str, gen_marguerite,
+                      graph6_str, graph6_to_graph, is_isomorphic, obstructions)
 from idforest.cli import main
 
 
@@ -319,6 +319,16 @@ class TestErrorHandling:
         monkeypatch.chdir(tmp_path)
         assert main([command, "--k", "1", "--workers", workers]) == 2
         assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_a_dead_worker_exits_3(self, capsys, tmp_path, monkeypatch):
+        def lost(*args):
+            raise WorkerLostError("a worker process died before returning its chunk")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(obstructions, "_pmap", lost)
+        assert main(["obstructions", "--k", "1", "--workers", "2"]) == 3
+        assert "worker process died" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

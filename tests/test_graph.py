@@ -259,6 +259,38 @@ class TestBridges:
         assert remove_bridges(remove_bridges(g)) == remove_bridges(g) == g
 
 
+class TestTwoCore:
+    """`graph._two_core` against the definition: delete a vertex of degree
+    below 2 while there is one."""
+
+    @staticmethod
+    def peeled(g: Graph, alive: set) -> set:
+        alive = set(alive)
+        while True:
+            low = {v for v in alive if len(g.neighbors(v) & alive) < 2}
+            if not low:
+                return alive
+            alive -= low
+
+    def test_known_cores(self):
+        # a triangle with a pendant path keeps the triangle; a tree keeps
+        # nothing; the bowtie keeps itself, and without its hub nothing
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert graph._two_core(g.adj_masks, 0b11111) == 0b00111
+        assert graph._two_core(path_graph(6).adj_masks, 0b111111) == 0
+        assert graph._two_core(bowtie().adj_masks, 0b11111) == 0b11111
+        assert graph._two_core(bowtie().adj_masks, 0b11110) == 0
+
+    def test_matches_repeated_peeling_on_induced_subgraphs(self):
+        rng = random.Random(17)
+        for _ in range(80):
+            g = random_graph(rng, rng.randint(0, 14), rng.choice([0.1, 0.2, 0.4]))
+            alive = rng.getrandbits(g.n) if g.n else 0
+            core = graph._two_core(g.adj_masks, alive)
+            expected = self.peeled(g, {v for v in range(g.n) if alive >> v & 1})
+            assert core == sum(1 << v for v in expected)
+
+
 class TestTraversalsAgainstNetworkx:
     """The shared mask traversal also decides is_forest for brute_idf, so it
     is checked against an independent implementation at n = 20..64."""

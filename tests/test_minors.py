@@ -13,8 +13,8 @@ import tracemalloc
 import pytest
 from conftest import graphs_up_to, identify_set, random_graph
 
-from idforest import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX, Graph,
-                      SizeLimitError, VertexPartition, brute_minor,
+from idforest import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX, DichotomyOutcome,
+                      Graph, SizeLimitError, VertexPartition, brute_minor,
                       circumference, complete_graph, cycle_graph, cycle_packing,
                       dichotomy, disjoint_union, exact_fvs, gen_antichain_h,
                       gen_cycle, gen_marguerite, gen_triangles,
@@ -88,6 +88,22 @@ def dichotomy_corpus() -> list[tuple[Graph, int]]:
     rng = random.Random(409)
     return [(tree_plus_edges(rng, 9 + i // 4 % 8, rng.randint(2, 5)), (2, 2, 3, 4)[i % 4])
             for i in range(400)]
+
+
+def dichotomy_running_every_detector(g: Graph, k: int) -> DichotomyOutcome:
+    """`dichotomy` without its skip rules: each detector runs in its turn."""
+    packing = cycle_packing(g)
+    if len(packing) >= k:
+        return DichotomyOutcome("triangles", k, minors._triangles_model(packing, k, g.n), None)
+    if k >= 3:
+        cyc = longest_cycle(g)
+        if len(cyc) >= k:
+            return DichotomyOutcome("cycle", k, minors._cycle_model(cyc, k, g.n), None)
+    if g.n <= MARGUERITE_SEARCH_MAX:
+        model = marguerite_model(g, k)
+        if model is not None:
+            return DichotomyOutcome("marguerite", k, model, None)
+    return DichotomyOutcome(None, None, None, idf_exact(g).partition)
 
 
 class TestGenerators:
@@ -312,6 +328,16 @@ class TestDichotomy:
         assert not out.is_witness
         assert is_id_forest_partition(cycle_graph(4), out.id_set)
 
+    def test_odd_cycles_fall_back_at_k_2(self):
+        # C_{2t+1} has idf t + 1 but neither two disjoint cycles nor a bowtie
+        # minor, and C_2 is no simple graph: at k = 2 a fallback of any order
+        # carries no theorem-level meaning
+        for t in range(2, 8):
+            g = cycle_graph(2 * t + 1)
+            out = dichotomy(g, 2)
+            assert not out.is_witness
+            assert out.id_set.order == t + 1 == idf_exact(g).value
+
     def test_parameter_below_one_rejected(self):
         with pytest.raises(ValueError):
             dichotomy(cycle_graph(3), 0)
@@ -348,6 +374,54 @@ class TestDichotomy:
         lines = [dichotomy(g, k).as_json() for g, k in dichotomy_corpus()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "4af0721ee1a8334d5255664e5f9151848496a6ed6179bc412d64a4cc45594ade"
+
+
+class TestDetectorSkips:
+    """`dichotomy` calls `cycle_packing` only when min(m - n + c,
+    |2-core| // 3) >= k, and `longest_cycle` only when k >= 3 and
+    |2-core| >= k.  A skipped detector could not have returned a witness,
+    so the outcome is the twin's, which runs every detector."""
+
+    @staticmethod
+    def count_calls(monkeypatch, name: str) -> list:
+        calls = []
+        inner = getattr(minors, name)
+        monkeypatch.setattr(minors, name, lambda g: calls.append(g) or inner(g))
+        return calls
+
+    def test_agrees_with_every_detector_run_on_sparse_graphs(self):
+        rng = random.Random(431)
+        for n in range(9, 17):
+            for extra in (2, 3, 4, 5):
+                g = tree_plus_edges(rng, n, extra)
+                for k in (2, 3, 4):
+                    assert dichotomy(g, k) == dichotomy_running_every_detector(g, k)
+
+    def test_agrees_with_every_detector_run_on_dense_graphs(self):
+        rng = random.Random(433)
+        for n in range(1, 13):
+            for g in (complete_graph(n), random_graph(rng, n, 0.5)):
+                for k in (1, 2, 3, 4):
+                    assert dichotomy(g, k) == dichotomy_running_every_detector(g, k)
+
+    def test_cycle_packing_is_skipped_on_a_tree_plus_two_edges_at_k_3(self, monkeypatch):
+        # the cyclomatic number is 2, so three disjoint cycles cannot exist
+        calls = self.count_calls(monkeypatch, "cycle_packing")
+        rng = random.Random(439)
+        for n in range(9, 17):
+            dichotomy(tree_plus_edges(rng, n, 2), 3)
+        assert calls == []
+        dichotomy(gen_triangles(3), 3)
+        assert len(calls) == 1
+
+    def test_longest_cycle_is_skipped_when_the_2_core_is_short(self, monkeypatch):
+        # a triangle with a pendant path: the 2-core has 3 vertices
+        calls = self.count_calls(monkeypatch, "longest_cycle")
+        g = Graph(8, [(0, 1), (1, 2), (0, 2)] + [(v, v + 1) for v in range(2, 7)])
+        assert not dichotomy(g, 4).is_witness
+        assert calls == []
+        assert dichotomy(cycle_graph(8), 4).family == "cycle"
+        assert len(calls) == 1
 
 
 class TestKeptResults:

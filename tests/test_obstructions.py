@@ -165,6 +165,27 @@ class TestEnumeration:
                               capture_output=True, text=True, check=True)
         assert proc.stdout.split() == serial
 
+    def test_a_killed_worker_fails_fast(self):
+        # a pool worker SIGKILLs itself on one item, where a
+        # multiprocessing.Pool would wait for its lost chunk for ever
+        src = pathlib.Path(obstructions.__file__).parents[1]
+        script = ("import multiprocessing, os, signal, time\n"
+                  "from idforest import WorkerLostError\n"
+                  "from idforest.obstructions import _pmap\n"
+                  "def die_in_a_worker(x):\n"
+                  "    if x == 37 and multiprocessing.parent_process() is not None:\n"
+                  "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                  "    return x\n"
+                  "start = time.monotonic()\n"
+                  "try:\n"
+                  "    list(_pmap(die_in_a_worker, list(range(100)), workers=2))\n"
+                  "except WorkerLostError:\n"
+                  "    print(time.monotonic() - start)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert float(proc.stdout) < 10
+
     def test_worker_counts_below_one_are_refused(self):
         with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
             enumerate_graphs(4, workers=0)

@@ -11,12 +11,15 @@ import pytest
 from conftest import complete_bipartite_graph, graphs_up_to, random_graph
 
 from idforest import (BRUTE_ECF_MAX_EDGES, BRUTE_IDF_MAX, BRUTE_MINOR_MAX,
-                      BRUTE_VC_MAX, Graph, MinorModel, SizeLimitError,
+                      BRUTE_VC_MAX, Graph, InvalidBlockError, MinorModel,
+                      SizeLimitError,
                       VertexPartition, brute_ecf, brute_idf, brute_minor,
                       brute_vc, complete_graph,
                       cycle_graph, disjoint_union, gen_antichain_h,
                       gen_marguerite, identify_partition, is_forest,
-                      is_id_forest_partition, path_graph, vc_exact)
+                      is_id_forest_partition, marguerite_model, path_graph,
+                      vc_exact)
+from idforest.graphio import GRAPH6_MAX_VERTICES
 from idforest.oracle import _set_partitions
 
 
@@ -257,7 +260,8 @@ class TestBruteMinor:
         assert not MinorModel(complete_graph(3), out_of_range).validates_in(host)
         negative = dict(sets)
         negative[0] = sets[0] | {-1}
-        assert not MinorModel(complete_graph(3), negative).validates_in(host)
+        with pytest.raises(InvalidBlockError):
+            MinorModel(complete_graph(3), negative)
         for absent in ({p: s for p, s in sets.items() if p != 0}, {**sets, 0: None}):
             assert not MinorModel(complete_graph(3), absent).validates_in(host)
         # on the path 0-1-2-3: {0, 1} and {2} model an edge, while {0, 1}
@@ -295,3 +299,40 @@ class TestBruteMinor:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             brute_minor(complete_graph(3), Graph(BRUTE_MINOR_MAX + 1))
+
+
+class TestMinorModel:
+    """A model keeps its branch sets only as vertex masks packed into one
+    int, and builds `branch_sets` on access."""
+
+    def test_branch_sets_round_trip(self):
+        rng = random.Random(151)
+        models = 0
+        for _ in range(30):
+            host = random_graph(rng, rng.randint(4, 8), 0.5)
+            pattern = random_graph(rng, rng.randint(2, 4), 0.7)
+            model = brute_minor(pattern, host)
+            if model is None:
+                continue
+            models += 1
+            again = MinorModel(pattern, model.branch_sets)
+            assert again.branch_sets == model.branch_sets
+            assert again == model
+            assert again.as_json_dict() == model.as_json_dict()
+            assert again.validates_in(host)
+        assert models > 0
+        assert MinorModel.__slots__ == ("pattern", "_packed", "_width")
+
+    def test_brute_minor_model_equals_the_marguerite_search_model(self):
+        host = gen_antichain_h(2)
+        model = brute_minor(gen_marguerite(2), host)
+        assert model is not None and model == marguerite_model(host, 2)
+
+    def test_labels_outside_the_graph6_range_are_refused(self):
+        k2 = path_graph(2)
+        for v in (-1, GRAPH6_MAX_VERTICES + 1):
+            with pytest.raises(InvalidBlockError, match=f"vertex {v} not in"):
+                MinorModel(k2, {0: {0}, 1: {v}})
+        top = MinorModel(k2, {0: {0}, 1: {GRAPH6_MAX_VERTICES}})
+        assert top.branch_sets == {0: {0}, 1: {GRAPH6_MAX_VERTICES}}
+        assert not top.validates_in(k2)

@@ -248,6 +248,16 @@ class TestGuardOnTheBranching:
         with pytest.raises(SizeLimitError, match="one of 66 in a graph on 66"):
             vc_exact(g)
 
+    def test_a_64_vertex_half_valued_component_is_solved(self):
+        # C31 and C33 joined by an edge, plus an isolated vertex: 65
+        # vertices, and one half-valued component of exactly 64 vertices
+        # with two of degree 3, the largest the branching takes
+        c31 = [(i, (i + 1) % 31) for i in range(31)]
+        c33 = [(31 + i, 31 + (i + 1) % 33) for i in range(33)]
+        g = Graph(65, c31 + c33 + [(0, 31)])
+        assert lp_half_integral(g)[1] == frozenset(range(64))
+        assert vc_exact(g).value == 33
+
     def test_tree_plus_two_edges_is_solved(self):
         rng = random.Random(200)
         g = Graph(200, [(v, rng.randrange(v)) for v in range(1, 200)] + [(3, 150), (17, 90)])
