@@ -36,10 +36,9 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   canonical searches (calls of `canon._search`) and the classes kept (the
   level's length).  Then it times `idforest obstructions --k 2` (the
   perfbench census) in the same interpreter and counts its canonical
-  searches, its `obstructions._classify` calls and its `vc.nt_kernel`
-  calls.  A counted function is wrapped in
-  every module that binds it, so calls through a name imported from `canon`
-  or `vc` are counted too.  These counters wrap the functions in the timed
+  searches and its `obstructions._classify` calls.  A counted function is
+  wrapped in every module that binds it, so calls through a name imported
+  from `canon` are counted too.  These counters wrap the functions in the timed
   pass itself: one extra Python call per counted call, about 0.4 us against
   about 140 us a canonical search at level 8.
 - `kernel`: `idf_kernel(G, k)` at scale, on G with 2n distinct random
@@ -237,10 +236,9 @@ LEVELS = range(5, 9)
 
 
 def measure_enum() -> dict:
-    from idforest import (Graph, canon, cli, graph6_str, graph6_to_graph, obstructions,
-                          solver, vc)
+    from idforest import Graph, canon, cli, graph6_str, graph6_to_graph, obstructions
 
-    counts = {"sets": 0, "_search": 0, "_classify": 0, "nt_kernel": 0}
+    counts = {"sets": 0, "_search": 0, "_classify": 0}
 
     def keep_all(*args) -> bool:
         counts["sets"] += 1
@@ -255,8 +253,7 @@ def measure_enum() -> dict:
         level = grow(level)
     levels = []
     with _counting("_search", counts, canon, obstructions), \
-            _counting("_classify", counts, obstructions), \
-            _counting("nt_kernel", counts, vc, solver):
+            _counting("_classify", counts, obstructions):
         for n in LEVELS:
             counts.update(dict.fromkeys(counts, 0))
             t0 = perf_counter()
@@ -270,8 +267,7 @@ def measure_enum() -> dict:
             cli.main(["obstructions", "--k", "2", "--out", out])
             census_s = perf_counter() - t0
     return {"levels": levels, "census": {"searches": counts["_search"],
-                                         "classify": counts["_classify"],
-                                         "nt_kernel": counts["nt_kernel"], "s": census_s}}
+                                         "classify": counts["_classify"], "s": census_s}}
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +342,6 @@ def _gnm_edges(n: int, degree: int, seed: int) -> list[tuple[int, int]]:
 def _kept_bytes(graphs: list, call) -> float:
     """Traced bytes still held per result after calling `call` on each
     graph and keeping the results; the graphs are built before tracing."""
-    import gc
-    import tracemalloc
     gc.collect()
     tracemalloc.start()
     try:
@@ -399,8 +393,7 @@ LAYERS = {
                   "serial canonical augmentation of level n - 1 into level n, one "
                   "timed pass a run; sets = calls of the keep-all classifier, "
                   "searches = _search calls; census = idforest obstructions --k 2 in "
-                  "the same interpreter, with its _search, _classify and nt_kernel "
-                  "calls"),
+                  "the same interpreter, with its _search and _classify calls"),
     "kernel": Layer(measure_kernel, ("s",), ("graph", "n", "m", "k"),
                     "idf_kernel(G, k), k the LP value of G's bridgeless core rounded "
                     "up, one call in a fresh interpreter a run, on G with 2n random "

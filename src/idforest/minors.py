@@ -26,8 +26,8 @@ from functools import cache
 from typing import Iterable
 
 from .errors import SizeLimitError
-from .graph import (Graph, _bits, _edge_list, _neighbours, _two_core, components,
-                    cycle_graph, disjoint_union)
+from .graph import (Graph, _bits, _neighbours, _two_core, components, cycle_graph,
+                    disjoint_union)
 from .identify import VertexPartition
 from .oracle import MinorModel, _connected_subsets
 from .solver import idf_exact
@@ -101,7 +101,7 @@ def longest_cycle(g: Graph) -> list[int]:
         nonlocal best
         u = path[-1]
         avail = allowed & ~visited
-        if len(path) + bin(avail).count("1") <= len(best):
+        if len(path) + avail.bit_count() <= len(best):
             return
         nbrs = adj[u] & allowed
         if len(path) >= 3 and (adj[u] >> start) & 1 and len(path) > len(best):
@@ -126,45 +126,44 @@ def circumference(g: Graph) -> int:
     return len(longest_cycle(g))
 
 
-def _shortest_cycle(adj: tuple[int, ...], edges: list[tuple[int, int]], alive: int) -> list[int]:
+def _shortest_cycle(adj: tuple[int, ...], alive: int) -> list[int]:
     """A shortest cycle of the subgraph that `alive` induces in the graph
-    with adjacency masks `adj` and sorted edge list `edges` (vertices
-    listed in order), or []."""
+    with adjacency masks `adj` (vertices listed in order), or [].  The
+    edges (u, v), u < v, are tried in sorted order, and the first triangle
+    ends the walk."""
     best: list[int] = []
-    for u, v in edges:
-        if not ((alive >> u) & 1 and (alive >> v) & 1):
-            continue
-        # BFS u -> v avoiding the edge uv
-        prev = {u: None}
-        queue = [u]
-        found = False
-        while queue and not found:
-            nxt = []
-            for x in queue:
-                m = adj[x] & alive
-                while m:
-                    w = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if x == u and w == v:
-                        continue
-                    if w not in prev:
-                        prev[w] = x
-                        if w == v:
-                            found = True
-                            break
-                        nxt.append(w)
-                if found:
-                    break
-            queue = nxt
-        if found:
-            path = [v]
-            while path[-1] != u:
-                path.append(prev[path[-1]])
-            cycle = path[::-1]
-            if not best or len(cycle) < len(best):
-                best = cycle
-                if len(best) == 3:
-                    break
+    for u in _bits(alive):
+        for v in _bits(adj[u] & alive >> u + 1 << u + 1):
+            # BFS u -> v avoiding the edge uv
+            prev = {u: None}
+            queue = [u]
+            found = False
+            while queue and not found:
+                nxt = []
+                for x in queue:
+                    m = adj[x] & alive
+                    while m:
+                        w = (m & -m).bit_length() - 1
+                        m &= m - 1
+                        if x == u and w == v:
+                            continue
+                        if w not in prev:
+                            prev[w] = x
+                            if w == v:
+                                found = True
+                                break
+                            nxt.append(w)
+                    if found:
+                        break
+                queue = nxt
+            if found:
+                path = [v]
+                while path[-1] != u:
+                    path.append(prev[path[-1]])
+                if not best or len(path) < len(best):
+                    best = path[::-1]
+                    if len(best) == 3:
+                        return best
     return best
 
 
@@ -177,7 +176,6 @@ def cycle_packing(g: Graph) -> list[list[int]]:
     """
     _check_cycle_scale(g, "cycle_packing")
     adj = g.adj_masks
-    edges = _edge_list(adj)
 
     def chordless_through(v: int, alive: int) -> list[list[int]]:
         out: list[list[int]] = []
@@ -207,7 +205,7 @@ def cycle_packing(g: Graph) -> list[list[int]]:
 
     @cache  # dense graphs reach one alive mask by many routes
     def solve(alive: int) -> list[list[int]]:
-        sc = _shortest_cycle(adj, edges, alive)
+        sc = _shortest_cycle(adj, alive)
         if not sc:
             return []
         v = min(sc)
@@ -227,8 +225,7 @@ def max_cycle_packing(g: Graph) -> int:
     return len(cycle_packing(g))
 
 
-def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int,
-                 memo: dict) -> bool:
+def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int) -> bool:
     """True when the subgraph that `alive` induces holds `need` vertex-disjoint
     paths, each joining two distinct vertices of `ends` (a subset of alive).
 
@@ -241,11 +238,8 @@ def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int,
         return True
     if ends.bit_count() < 2 * need:
         return False
-    key = (alive, ends, need)
-    if key in memo:
-        return memo[key]
     s = ends & -ends
-    found = _petal_paths(adj, alive ^ s, ends ^ s, need, memo)
+    found = _petal_paths(adj, alive ^ s, ends ^ s, need)
     stack = [(s.bit_length() - 1, s)]  # (last vertex, path mask)
     while stack and not found:
         u, path = stack.pop()
@@ -256,11 +250,9 @@ def _petal_paths(adj: tuple[int, ...], alive: int, ends: int, need: int,
             wbit = 1 << w
             if not ends & wbit:
                 stack.append((w, path | wbit))
-            elif _petal_paths(adj, alive & ~(path | wbit), ends & ~(path | wbit),
-                              need - 1, memo):
+            elif _petal_paths(adj, alive & ~(path | wbit), ends & ~(path | wbit), need - 1):
                 found = True
                 break
-    memo[key] = found
     return found
 
 
@@ -289,7 +281,6 @@ def marguerite_model(g: Graph, k: int) -> MinorModel | None:
     adj = g.adj_masks
     full = (1 << g.n) - 1
     sets = [0] * h.n  # hub, then a_i, b_i as 2i - 1, 2i
-    memo: dict = {}
 
     def place(p: int, used: int, contacts: int) -> bool:
         if p == h.n:
@@ -302,14 +293,14 @@ def marguerite_model(g: Graph, k: int) -> MinorModel | None:
             nb = _neighbours(adj, bmask)
             rest = free & ~bmask
             if p == 0:
-                if not _petal_paths(adj, rest, nb, k, memo):
+                if not _petal_paths(adj, rest, nb, k):
                     continue
                 contacts = nb
             elif p % 2:  # a_i: touches the hub and leaves room for b_i
                 if not (nb & sets[0] and nb & rest):
                     continue
             elif not (nb & sets[0] and nb & sets[p - 1]
-                      and _petal_paths(adj, rest, contacts & rest, k - p // 2, memo)):
+                      and _petal_paths(adj, rest, contacts & rest, k - p // 2)):
                 continue
             sets[p] = bmask
             if place(p + 1, used | bmask, contacts):
@@ -382,23 +373,14 @@ def exact_fvs(g: Graph) -> frozenset:
     """A minimum feedback vertex set, by branching on shortest cycles."""
     _check_cycle_scale(g, "exact_fvs")
     adj = g.adj_masks
-    edges = _edge_list(adj)
-    memo: dict[int, frozenset] = {}
 
+    @cache  # one alive mask is reached by many deletion orders
     def solve(alive: int) -> frozenset:
-        if alive in memo:
-            return memo[alive]
-        sc = _shortest_cycle(adj, edges, alive)
+        sc = _shortest_cycle(adj, alive)
         if not sc:
-            memo[alive] = frozenset()
-            return memo[alive]
-        best: frozenset | None = None
-        for v in sorted(sc):
-            cand = solve(alive & ~(1 << v)) | {v}
-            if best is None or len(cand) < len(best):
-                best = cand
-        memo[alive] = best
-        return best
+            return frozenset()
+        # min keeps the first of the smallest, in sorted(sc) order
+        return min((solve(alive & ~(1 << v)) | {v} for v in sorted(sc)), key=len)
 
     return solve((1 << g.n) - 1)
 

@@ -197,7 +197,7 @@ def _connected_subsets(adj: tuple[int, ...], allowed: int, max_size: int) -> Ite
 
         def grow(current: int, frontier: int, banned: int) -> Iterator[int]:
             yield current
-            if bin(current).count("1") >= max_size:
+            if current.bit_count() >= max_size:
                 return
             f = frontier
             while f:
@@ -234,7 +234,7 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
         p = order[i]
         free = ((1 << g.n) - 1) & ~used
         remaining_after = len(order) - i - 1
-        budget = bin(free).count("1") - remaining_after
+        budget = free.bit_count() - remaining_after
         if budget <= 0:
             return False
         fixed_nbrs = [assignment[q] for q in _bits(pattern[p]) if q in assignment]
@@ -243,7 +243,7 @@ def brute_minor(h: Graph, g: Graph) -> MinorModel | None:
             nb = _neighbours(adj, bmask)
             if any(not (nb & s) for s in fixed_nbrs):
                 continue
-            if bin(nb & free & ~bmask).count("1") < open_nbrs:
+            if (nb & free & ~bmask).bit_count() < open_nbrs:
                 continue
             assignment[p] = bmask
             if place(i + 1, used | bmask):

@@ -11,7 +11,7 @@ splitting a cover along the core's components.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .graph import Graph, _core, bridges, components, remove_bridges, with_new_vertex
@@ -107,10 +107,6 @@ def idf_kernel(g: Graph, k: int) -> KernelInstance:
     2k+1 = 1 vertices (every such graph is a forest), so only there the
     size bound gives way to the 3-vertex canonical no-instance.
     """
-    core = remove_bridges(g)
-    ki = nt_kernel(core, k)
-    if bridges(ki.graph):
-        apexed, _ = apex_bridgeless(ki.graph)
-        return KernelInstance(apexed, ki.budget + 1, ki.forced, dict(ki.origin),
-                              ki.decided_no)
-    return ki
+    ki = nt_kernel(remove_bridges(g), k)
+    h, budget = vc_to_idf(ki.graph, ki.budget)
+    return replace(ki, graph=h, budget=budget)

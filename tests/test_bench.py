@@ -70,7 +70,7 @@ def test_enum_worker_counts_searches_and_classifications(monkeypatch):
         assert set(level) == {"n", "classes", "sets", "searches", "s"}
         assert level["sets"] >= level["classes"] > 0 and level["searches"] > 0
     census = run["census"]
-    assert set(census) == {"searches", "classify", "nt_kernel", "s"}
+    assert set(census) == {"searches", "classify", "s"}
     assert census["searches"] > 0 and census["classify"] > 0 and census["s"] > 0
 
 

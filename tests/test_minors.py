@@ -7,6 +7,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -17,13 +18,15 @@ from idforest import (CYCLE_SEARCH_MAX, MARGUERITE_SEARCH_MAX, DichotomyOutcome,
                       Graph, SizeLimitError, VertexPartition, brute_minor,
                       circumference, complete_graph, cycle_graph, cycle_packing,
                       dichotomy, disjoint_union, exact_fvs, gen_antichain_h,
-                      gen_cycle, gen_marguerite, gen_triangles,
+                      gen_cycle, gen_marguerite, gen_triangles, graph6_to_graph,
                       identify_partition, idf_exact, induced_subgraph,
                       is_forest, is_id_forest_partition, is_isomorphic,
                       longest_cycle, marguerite_model, max_cycle_packing,
-                      max_marguerite, path_graph)
+                      max_marguerite, obs_idf, path_graph)
 from idforest import minors
 from idforest.minors import _petal_paths
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def petersen() -> Graph:
@@ -206,14 +209,19 @@ class TestCyclePacking:
             g = random_graph(rng, rng.randint(3, 8), rng.choice([0.3, 0.5]))
             assert max_cycle_packing(g) == independent_max_packing(g)
 
-    def test_each_alive_set_is_searched_once(self, monkeypatch):
-        # K12 reaches one alive set by many branch orders: without a memo the
-        # search makes 86,461 calls, with one at most one per vertex subset
+    @pytest.mark.parametrize("search,value", [
+        (max_cycle_packing, 4),
+        (lambda g: len(exact_fvs(g)), 10),
+    ], ids=["cycle_packing", "exact_fvs"])
+    def test_each_alive_set_is_searched_once(self, monkeypatch, search, value):
+        # K12 reaches one alive set by many branch orders: without a memo
+        # cycle_packing makes 86,461 calls and exact_fvs 88,573, with one at
+        # most one per vertex subset
         calls = []
         real = minors._shortest_cycle
         monkeypatch.setattr(minors, "_shortest_cycle",
-                            lambda adj, edges, alive: calls.append(alive) or real(adj, edges, alive))
-        assert max_cycle_packing(complete_graph(12)) == 4
+                            lambda adj, alive: calls.append(alive) or real(adj, alive))
+        assert search(complete_graph(12)) == value
         assert len(calls) == len(set(calls)) < 2 ** 12
 
 
@@ -283,7 +291,7 @@ class TestMargueriteModel:
         # hub {0} touches only 1, which lies on the triangle 1, 2, 3
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
         adj = g.adj_masks
-        assert not _petal_paths(adj, 0b1110, 0b0010, 1, {})
+        assert not _petal_paths(adj, 0b1110, 0b0010, 1)
         assert marguerite_model(g, 1) is not None  # with another hub
 
     def test_four_contacts_on_a_star_carry_one_petal(self):
@@ -291,8 +299,8 @@ class TestMargueriteModel:
         # two paths between leaves meet at the centre
         g = Graph(6, [(0, v) for v in range(2, 6)] + [(1, v) for v in range(2, 6)])
         adj = g.adj_masks
-        assert _petal_paths(adj, 0b111110, 0b111100, 1, {})
-        assert not _petal_paths(adj, 0b111110, 0b111100, 2, {})
+        assert _petal_paths(adj, 0b111110, 0b111100, 1)
+        assert not _petal_paths(adj, 0b111110, 0b111100, 2)
         assert marguerite_model(g, 2) is None
         assert brute_minor(gen_marguerite(2), g) is None
 
@@ -374,6 +382,50 @@ class TestDichotomy:
         lines = [dichotomy(g, k).as_json() for g, k in dichotomy_corpus()]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "4af0721ee1a8334d5255664e5f9151848496a6ed6179bc412d64a4cc45594ade"
+
+
+class TestWitnessThreshold:
+    """How much idf forces a witness, read off the idf obstructions.
+
+    Lemma.  At parameter k, the graphs with none of the witness minors
+    (C_k for k >= 3, kK3 and M_k, as `dichotomy` tries them) form a
+    minor-closed class W_k, and so do the graphs with idf <= t.  A graph
+    of W_k with idf > t has a minor-minimal minor with idf > t, which is
+    an obstruction of obs_idf(t) and lies in W_k too.  So W_k holds a graph
+    with idf > t iff it holds an obstruction of obs_idf(t), and idf >= s
+    forces a witness at k exactly when no obstruction of obs_idf(t) lies
+    in W_k for t = s - 1.  The obstructions have at most 7 vertices, where
+    `dichotomy(O, k).is_witness` decides membership in W_k exactly.
+    """
+
+    COUNTS = [1, 1, 4, 7]  # graphs in obs_idf(t), t = 0..3
+    # TABLE[t][k - 1]: the obstructions of obs_idf(t) in W_k, k = 1..6
+    TABLE = [[0, 1, 0, 1, 1, 1],
+             [0, 1, 0, 1, 1, 1],
+             [0, 2, 0, 2, 3, 4],
+             [0, 2, 0, 2, 2, 4]]
+
+    @staticmethod
+    def obstructions(t: int) -> list[Graph]:
+        if t < 3:
+            return list(obs_idf(t).obstructions)
+        return [graph6_to_graph(line) for line in (DATA / "obs-idf-k3.g6").read_text().split()]
+
+    def test_witness_free_obstructions_are_pinned(self):
+        catalogs = [self.obstructions(t) for t in range(4)]
+        assert [len(c) for c in catalogs] == self.COUNTS
+        table = [[sum(not dichotomy(o, k).is_witness for o in c) for k in range(1, 7)]
+                 for c in catalogs]
+        assert table == self.TABLE
+
+    def test_is_witness_agrees_with_brute_minor(self):
+        for t in range(4):
+            for o in self.obstructions(t):
+                for k in range(1, 7):
+                    patterns = [gen_triangles(k), gen_marguerite(k)]
+                    patterns += [gen_cycle(k)] if k >= 3 else []
+                    brute = any(brute_minor(p, o) is not None for p in patterns)
+                    assert dichotomy(o, k).is_witness == brute, (t, k)
 
 
 class TestDetectorSkips:

@@ -186,6 +186,33 @@ class TestEnumeration:
                               capture_output=True, text=True, check=True, timeout=60)
         assert float(proc.stdout) < 10
 
+    def test_a_scan_killed_on_its_last_level_resumes_from_its_checkpoints(self, tmp_path):
+        # obs_idf(2, workers=2) runs levels 7 and 8 on the pool; a worker
+        # SIGKILLs itself on a 7-vertex parent, so level 8 is lost
+        src = pathlib.Path(obstructions.__file__).parents[1]
+        script = ("import multiprocessing, os, signal, sys\n"
+                  "from idforest import WorkerLostError, obs_idf, obstructions\n"
+                  "multiprocessing.set_start_method('fork')  # workers inherit the patch\n"
+                  "real = obstructions._augmented_children\n"
+                  "def die_on_level_8(parent, *args, **kwargs):\n"
+                  "    if parent.n == 7 and multiprocessing.parent_process() is not None:\n"
+                  "        os.kill(os.getpid(), signal.SIGKILL)\n"
+                  "    return real(parent, *args, **kwargs)\n"
+                  "obstructions._augmented_children = die_on_level_8\n"
+                  "try:\n"
+                  "    obs_idf(2, workers=2, checkpoint_dir=sys.argv[1])\n"
+                  "except WorkerLostError:\n"
+                  "    print('lost')\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout.strip() == "lost"
+        # levels 1..7 left both files, level 8 neither, and no temporary file
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            f"scan-idf-k2-n{n}.{part}.g6" for n in range(1, 8) for part in ("found", "members"))
+        resumed = obs_idf(2, checkpoint_dir=str(tmp_path))
+        assert resumed.as_json_dict() == obs_idf(2).as_json_dict()
+
     def test_worker_counts_below_one_are_refused(self):
         with pytest.raises(ValueError, match="workers must be at least 1, got 0"):
             enumerate_graphs(4, workers=0)
