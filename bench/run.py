@@ -53,7 +53,8 @@ own `src/`, the parent first on even pairs.  LABEL picks the layer:
   workload.  The size's time is the sum over its graphs of the best of a
   few repeats.  A separate pass keeps every certificate of the size under
   `tracemalloc`, with the graphs built before tracing starts, and reports
-  the traced bytes still held per certificate.
+  the traced bytes still held per certificate, next to the mean size of
+  the input graphs' packed matrices (`Graph._matrix`).
 
 Counters come from each side's first run.  For each row the file reports
 each side's median and quartiles of the time over all runs, and in how many
@@ -363,8 +364,10 @@ def measure_solve() -> dict:
             secs, cert = _best_of(lambda: Graph(n, edges), idf_exact)
             ms += secs * 1e3
             idf += cert.value
-        kept = _kept_bytes([Graph(n, edges) for edges in cells], idf_exact)
+        graphs = [Graph(n, edges) for edges in cells]
+        kept = _kept_bytes(graphs, idf_exact)
         rows.append({"n": n, "graphs": len(cells), "idf_sum": idf,
+                     "graph_bytes": round(sum(len(g._matrix) for g in graphs) / len(graphs), 1),
                      "kept_bytes_per_certificate": round(kept, 1), "solve_ms": ms})
     return {"sizes": rows}
 
@@ -404,7 +407,8 @@ LAYERS = {
                    f"{SOLVE_DEGREES[-1]}, {len(SOLVE_SEEDS)} graphs a degree: sum over "
                    f"the graphs of the best of {REPEATS} calls; kept bytes = traced "
                    "bytes still held per certificate when every certificate of the "
-                   "size is kept, the input graphs excluded, from each side's first run"),
+                   "size is kept, the input graphs excluded, from each side's first run; "
+                   "graph bytes = mean packed matrix size of the input graphs"),
 }
 
 

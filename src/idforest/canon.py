@@ -128,13 +128,14 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
             f"canonical form supports up to {CANON_MAX_VERTICES} vertices, got {g.n}")
     if g.n == 0:
         return ()
-    _, perm = _search(g.n, g.adj_masks, _refine(g.n, g.adj_masks, [0] * g.n))
+    adj = g.adj_masks
+    _, perm = _search(g.n, adj, _refine(g.n, adj, [0] * g.n))
     return tuple(perm)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """g relabelled into canonical positions."""
-    return _relabel(g, canonical_labeling(g))
+    return _relabel(g.adj_masks, canonical_labeling(g))
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -10,7 +10,6 @@ witnesses back.
 from __future__ import annotations
 
 import sys
-from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotPresentError
@@ -24,15 +23,9 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-# row size in bytes -> unsigned array type of that size (1, 2, 4, 8 bytes)
-_CAST = {array(code).itemsize: code for code in "QIHB"}
-
-
 def _row_size(n: int) -> int:
-    """Bytes per matrix row: ceil(n/8), rounded up to 1, 2, 4 or 8 when
-    n <= 64 so the rows pack and unpack as one typed array."""
-    size = (n + 7) >> 3
-    return size if size > 8 else (1, 1, 2, 4, 4, 8, 8, 8, 8)[size]
+    """Bytes per matrix row: ceil(n/8), at least 1."""
+    return max(1, (n + 7) >> 3)
 
 
 def _pack(rows: Sequence[int]) -> bytes:
@@ -42,17 +35,15 @@ def _pack(rows: Sequence[int]) -> bytes:
     last = len(rows)
     while last and not rows[last - 1]:
         last -= 1
-    if size in _CAST:
-        return array(_CAST[size], rows[:last]).tobytes()
-    return b"".join(rows[v].to_bytes(size, sys.byteorder) for v in range(last))
+    return b"".join([row.to_bytes(size, sys.byteorder) for row in rows[:last]])
 
 
 class Graph:
     """An immutable simple undirected graph.
 
     A graph holds only n and its adjacency matrix packed into one bytes
-    object, a fixed number of bytes a row (`_row_size`), bit w of row v set
-    iff vw is an edge: at most 512 bytes at 64 vertices, so a caller can
+    object, ceil(n/8) bytes a row (`_row_size`), bit w of row v set iff vw
+    is an edge: at most 512 bytes at 64 vertices, so a caller can
     keep many graphs.  It caches nothing: `adj_masks` and `edges` are
     built from the matrix on each access, while `neighbors`, `degree` and
     `has_edge` read a single row.
@@ -95,11 +86,8 @@ class Graph:
     def adj_masks(self) -> tuple[int, ...]:
         size = _row_size(self.n)
         matrix = self._matrix
-        if size in _CAST:
-            rows = tuple(memoryview(matrix).cast(_CAST[size]))
-        else:
-            rows = tuple(int.from_bytes(matrix[i:i + size], sys.byteorder)
-                         for i in range(0, len(matrix), size))
+        rows = tuple([int.from_bytes(matrix[i:i + size], sys.byteorder)
+                      for i in range(0, len(matrix), size)])
         return rows + (0,) * (self.n - len(rows))
 
     @property
@@ -190,10 +178,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph._from_rows(rows), tuple(keep)
 
 
-def _relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """g with each vertex v renamed perm[v]; perm is a permutation."""
-    rows = [0] * g.n
-    for v, row in enumerate(g.adj_masks):
+def _relabel(adj: Sequence[int], perm: Sequence[int]) -> Graph:
+    """The graph with adjacency rows `adj`, each vertex v renamed perm[v];
+    perm is a permutation."""
+    rows = [0] * len(adj)
+    for v, row in enumerate(adj):
         image = 0
         while row:
             low = row & -row

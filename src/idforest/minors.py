@@ -287,8 +287,6 @@ def marguerite_model(g: Graph, k: int) -> MinorModel | None:
             return True
         free = full & ~used
         budget = free.bit_count() - (h.n - 1 - p)
-        if budget <= 0:
-            return False
         for bmask in _connected_subsets(adj, free, budget):
             nb = _neighbours(adj, bmask)
             rest = free & ~bmask

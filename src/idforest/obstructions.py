@@ -128,8 +128,8 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
     class too, so it drops no class that the other rules keep.  A searched
     child costs one canonical search from its refined colouring, and a
     second one on the deleted graph only when the new vertex is not
-    canonically last and the class is new to this parent.  Across parents
-    the acceptance rule already guarantees disjointness.
+    canonically last and the class is not yet kept for this parent.  Across
+    parents the acceptance rule already guarantees disjointness.
     """
     n = parent.n
     adj = parent.adj_masks
@@ -143,7 +143,6 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
     parent_code = graph6_bytes(parent)
     new_bit = 1 << n
     kept: dict[bytes, tuple[Graph, bool]] = {}
-    rejected: set[bytes] = set()
     outside: list[int] = []
     for bits in range(1 << n):
         size = bits.bit_count()
@@ -165,16 +164,13 @@ def _augmented_children(parent: Graph, classify: Classifier, *, last: bool = Fal
         if colors[n] != max(colors):
             continue
         _, perm = _search(n + 1, rows, colors)
-        child = Graph._from_rows(rows)
-        rep = _relabel(child, perm)
+        rep = _relabel(rows, perm)
         code = graph6_bytes(rep)
-        if code in kept or code in rejected:
+        if code in kept:
             continue
         drop = perm.index(n)
-        if drop == n or canonical_form(delete_vertex(child, drop)) == parent_code:
+        if drop == n or canonical_form(delete_vertex(Graph._from_rows(rows), drop)) == parent_code:
             kept[code] = rep, verdict
-        else:
-            rejected.add(code)
     return [kept[code] for code in sorted(kept)]
 
 
@@ -537,12 +533,6 @@ class FamilyClaim:
     computed_member: bool | None
     agrees: bool | None
     note: str = ""
-
-    def as_json_dict(self) -> dict:
-        return {"family": self.family, "description": self.description,
-                "graph6": None if self.graph is None else graph6_str(self.graph),
-                "claimed": self.claimed_member, "computed": self.computed_member,
-                "agrees": self.agrees, "note": self.note}
 
 
 def family_obstruction_report(k: int) -> tuple[FamilyClaim, ...]:

@@ -105,6 +105,7 @@ def test_solve_worker_times_and_weighs_certificates(monkeypatch):
     assert list(run) == ["sizes"]
     assert [(row["n"], row["graphs"]) for row in run["sizes"]] == [(24, 6), (64, 6)]
     for row in run["sizes"]:
-        assert set(row) == {"n", "graphs", "idf_sum", "kept_bytes_per_certificate", "solve_ms"}
+        assert set(row) == {"n", "graphs", "idf_sum", "graph_bytes",
+                            "kept_bytes_per_certificate", "solve_ms"}
         assert row["idf_sum"] > 0 and row["solve_ms"] > 0
         assert 0 < row["kept_bytes_per_certificate"] < 4096

@@ -69,8 +69,8 @@ class TestConstruction:
 
 
 class TestPackedMatrix:
-    """A graph is stored as its packed adjacency matrix, a fixed number of
-    bytes a row; every view and every builder that works on rows must agree
+    """A graph is stored as its packed adjacency matrix, ceil(n/8) bytes a
+    row; every view and every builder that works on rows must agree
     with the edge list the graph came from."""
 
     SIZES = [0, 1, 7, 8, 9, 16, 17, 31, 33, 64, 65, 70]
@@ -94,6 +94,11 @@ class TestPackedMatrix:
         h = Graph(n, [(v, u) for u, v in reversed(edges)])
         assert h == g and hash(h) == hash(g)
         assert Graph._from_rows(rows) == g
+
+    @pytest.mark.parametrize("n", [v for v in SIZES if v >= 2])
+    def test_rows_take_ceil_n_over_8_bytes(self, n):
+        # the last row holds an edge, so no trailing row is dropped
+        assert len(Graph(n, [(0, n - 1)])._matrix) == n * max(1, (n + 7) // 8)
 
     @pytest.mark.parametrize("n", [0, 9, 70])
     def test_row_reads_refuse_non_vertices(self, n):
@@ -120,13 +125,14 @@ class TestPackedMatrix:
         assert induced_subgraph(g, keep)[0] == Graph(
             len(keep), [(index[a], index[b]) for a, b in g.edges if a in index and b in index])
         perm = rng.sample(range(n), n)
-        assert graph._relabel(g, perm) == Graph(n, [(perm[a], perm[b]) for a, b in g.edges])
+        assert graph._relabel(g.adj_masks, perm) == Graph(
+            n, [(perm[a], perm[b]) for a, b in g.edges])
         assert remove_bridges(g) == Graph(n, g.edges - bridges(g))
 
     @pytest.mark.parametrize("n", [65, 100, 150, 300, 2000])
     def test_induced_subgraph_above_64_vertices(self, n):
-        # rows wider than 64 bits are not one typed array; check the gather
-        # against the edge-list definition on a sparse graph (2n edges)
+        # check the gather on rows wider than 64 bits against the edge-list
+        # definition, on a sparse graph (2n edges)
         rng = random.Random(2000 + n)
         edges = set()
         while len(edges) < 2 * n:

@@ -347,8 +347,10 @@ class TestDichotomy:
             assert out.id_set.order == t + 1 == idf_exact(g).value
 
     def test_parameter_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            dichotomy(cycle_graph(3), 0)
+        for call in (lambda: dichotomy(cycle_graph(3), 0), lambda: gen_marguerite(0),
+                     lambda: gen_antichain_h(0), lambda: marguerite_model(cycle_graph(3), 0)):
+            with pytest.raises(ValueError):
+                call()
 
     def test_every_outcome_is_sound_on_random_graphs(self):
         rng = random.Random(167)

@@ -295,6 +295,9 @@ class TestObstructionScans:
             obs_idf(3)
         with pytest.raises(ValueError):
             obs_vc(4, long_run=True)
+        for k in (3, -1):  # the family report reaches only k = 0..2
+            with pytest.raises(ValueError):
+                family_obstruction_report(k)
 
     def test_scan_bounds_do_not_follow_the_enumeration_limit(self, monkeypatch):
         asked = []

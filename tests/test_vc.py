@@ -332,6 +332,26 @@ class TestLowerBoundCut:
         assert cover is not None and cover.bit_count() == 3
         assert calls
 
+    def test_augmentations_are_pinned(self, monkeypatch):
+        # `_lp_exceeds` stops once the untried vertices cannot reach the
+        # cap; without that exit the covers stay the same but these counts
+        # grow to 72, 139, 1099, 472, 1175 and 992
+        counts = []
+        inner = vc._augment
+
+        def counted(*args):
+            counts[-1] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(vc, "_augment", counted)
+        for n, p in ((40, 0.15), (64, 0.1), (64, 0.2)):
+            for seed in range(2):
+                rng = random.Random(seed)
+                counts.append(0)
+                vc_exact(Graph(n, [e for e in itertools.combinations(range(n), 2)
+                                   if rng.random() < p]))
+        assert counts == [14, 61, 377, 175, 383, 275]
+
 
 class TestExactCoverWhereTheBranchingRuns:
     """n = 20..64, past brute_vc's reach, where the branching does the work."""
